@@ -105,6 +105,14 @@ fn barrier_rule_fires_even_when_the_justification_rule_is_satisfied() {
 }
 
 #[test]
+fn snapshot_rule_catches_the_float_write_back_path() {
+    let report = run_fixture("worker-snapshot-only");
+    let rule = report.rule("worker-snapshot-only").expect("rule exists");
+    // The DRAM read, the replica write-back and the float forward all fire.
+    assert_eq!(rule.violations.len(), 3, "got: {:#?}", rule.violations);
+}
+
+#[test]
 fn unwrap_rule_skips_test_regions() {
     let report = run_fixture("no-unwrap-worker");
     let rule = report.rule("no-unwrap-worker").expect("rule exists");

@@ -1,7 +1,13 @@
-// Fixture: a worker that reaches around the verified snapshot and reads a layer
-// straight out of DRAM. Seeded violation for the `worker-snapshot-only` rule.
+// Fixture: a worker that reaches around the verified snapshot — reading a layer
+// straight out of DRAM, or writing it back into its replica for a float forward.
+// Seeded violations for the `worker-snapshot-only` rule.
 fn worker_loop(dram: &WeightDram, buf: &mut Vec<i8>) {
     for layer in 0..dram.num_layers() {
         dram.read_layer_into(layer, buf);
     }
+}
+
+fn float_worker(dram: &WeightDram, model: &mut QuantizedModel, input: &Tensor) -> Tensor {
+    dram.fetch_layer_into(model, 0);
+    model.forward_float(input)
 }

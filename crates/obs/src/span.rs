@@ -51,7 +51,7 @@ impl Tid {
 /// One completed span: a named interval on a thread's timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Span {
-    /// Span name (`fetch_verify`, `infer`, `scrub_sweep`, …).
+    /// Span name (`snapshot_build`, `infer`, `scrub_sweep`, …).
     pub name: &'static str,
     /// The thread the span ran on.
     pub tid: Tid,

@@ -214,7 +214,7 @@ mod tests {
         let mut report = ObsReport::empty(ObsLevel::Full);
         report.spans = vec![
             Span {
-                name: "fetch_verify",
+                name: "snapshot_build",
                 tid: Tid::Worker(0),
                 start_ns: 1_000,
                 dur_ns: 5_000,

@@ -511,17 +511,9 @@ impl RadarProtection {
             state.layers[layer_idx].layout.len(),
             "layer {layer_idx} size changed since signing"
         );
-        let bits = state.plan.signature_bits();
         let layer_plan = state.plan.layer(layer_idx);
         layer_plan.accumulate(values, acc);
-        for (group, &m) in acc[..layer_plan.num_groups()].iter().enumerate() {
-            if binarize(m, bits) != state.golden.signature(layer_idx, group) {
-                report.flagged.push(FlaggedGroup {
-                    layer: layer_idx,
-                    group,
-                });
-            }
-        }
+        Self::compare_signatures(state, layer_idx, &acc[..layer_plan.num_groups()], report);
     }
 
     /// Fused fetch-and-verify of one layer from its raw DRAM bytes: copies the bytes
@@ -542,10 +534,23 @@ impl RadarProtection {
             state.layers[layer_idx].layout.len(),
             "layer {layer_idx} size changed since signing"
         );
-        let bits = state.plan.signature_bits();
         let layer_plan = state.plan.layer(layer_idx);
         layer_plan.copy_accumulate(src, dst, acc);
-        for (group, &m) in acc[..layer_plan.num_groups()].iter().enumerate() {
+        Self::compare_signatures(state, layer_idx, &acc[..layer_plan.num_groups()], report);
+    }
+
+    /// Binarizes one layer's accumulated group sums `sums` and appends every group
+    /// whose signature differs from `state`'s golden store to `report` — the compare
+    /// half shared by [`check_layer`](Self::check_layer) and
+    /// [`check_layer_fused`](Self::check_layer_fused).
+    fn compare_signatures(
+        state: &EpochState,
+        layer_idx: usize,
+        sums: &[i32],
+        report: &mut DetectionReport,
+    ) {
+        let bits = state.plan.signature_bits();
+        for (group, &m) in sums.iter().enumerate() {
             if binarize(m, bits) != state.golden.signature(layer_idx, group) {
                 report.flagged.push(FlaggedGroup {
                     layer: layer_idx,
@@ -769,9 +774,9 @@ impl RadarProtection {
     /// layer's raw DRAM bytes into `dst` (reinterpreted as `i8`, exactly as the
     /// weight-fetch path does) while accumulating and checking the group
     /// signatures in the same sweep. This is the snapshot build path's kernel:
-    /// where the per-worker path paid a copy pass plus a
+    /// where a copy followed by
     /// [`verify_layer_values_at_epoch_with_scratch`](Self::verify_layer_values_at_epoch_with_scratch)
-    /// pass, the build pays one.
+    /// pays two passes, the build pays one.
     ///
     /// Epoch resolution matches the unfused check: an `epoch` no longer retained
     /// falls back to the current state — fail-closed, never skip.

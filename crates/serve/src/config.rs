@@ -1,40 +1,33 @@
+use std::env::VarError;
 use std::time::Duration;
 
 use radar_obs::{ObsConfig, ObsLevel};
 
-/// Which execution path workers run inference on.
+/// Which execution path workers run inference on. Single-valued: workers always
+/// run the integer GEMM straight off the published snapshot's `i8` bytes. The
+/// enum (and [`ServeConfig::exec`]) survives only because the benchmark package
+/// names every `ServeConfig` field; it goes away with the next benchmark revision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecPath {
-    /// Run forward straight off the fetched `i8` bytes: each worker keeps the
-    /// fetched layers in a reusable arena and the true integer GEMM consumes them
-    /// directly — i8×i8 products accumulated in `i32`, scales applied in the
+    /// Run forward straight off the snapshot's `i8` bytes through the true integer
+    /// GEMM — i8×i8 products accumulated in `i32`, scales applied in the
     /// requantization epilogue, optionally threaded via `RADAR_GEMM_THREADS` — no
     /// float weight tensor, no model write-back.
     #[default]
     QuantizedNative,
-    /// The pre-quantized-native pipeline: fetched bytes are written back into the
-    /// worker's `QuantizedModel`, dequantized into its float shadow, and the float
-    /// forward runs. Kept as the equivalence oracle — the logical telemetry of a
-    /// seeded run must be identical across both paths.
-    FloatOracle,
 }
 
-/// How a batch's verified weights reach its worker.
+/// How a batch's verified weights reach its worker. Single-valued, like
+/// [`ExecPath`], and kept for the same reason.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FetchMode {
     /// One fused fetch-and-verify pass per batch builds a shared, epoch-pinned
     /// `VerifiedSnapshot` (bytes copied out of DRAM *while* the ±1 mask
     /// scatter-adds into the signature accumulators), published as an `Arc` for
-    /// every consumer of the batch. Workers execute `forward_with_values` against
-    /// the shared `&[i8]` slices; recovery refreshes happen in the build path
+    /// every consumer of the batch. Recovery refreshes happen in the build path
     /// before publish.
     #[default]
     SharedSnapshot,
-    /// The pre-snapshot pipeline: the batch's worker copies every layer into its
-    /// private arena and verifies it in a second pass. Kept as the equivalence
-    /// baseline — the logical telemetry of a seeded run must be identical across
-    /// both modes (CI gates on the journal diff).
-    PerWorker,
 }
 
 /// Configuration of one serving run.
@@ -79,9 +72,9 @@ pub struct ServeConfig {
     pub rotate_every: usize,
     /// Served-accuracy window size, in requests.
     pub window: usize,
-    /// Which execution path workers run inference on (quantized-native by default).
+    /// Which execution path workers run inference on (single-valued; see [`ExecPath`]).
     pub exec: ExecPath,
-    /// How a batch's verified weights reach its worker (shared snapshot by default).
+    /// How a batch's verified weights reach its worker (single-valued; see [`FetchMode`]).
     pub fetch: FetchMode,
     /// Observability configuration: recording level (`Off | Counters | Full`) and
     /// journal capacity. The journal and the `BENCH_serve.json`-contract metrics
@@ -112,13 +105,23 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Applies the `RADAR_SERVE_*` environment overrides on top of `self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the variable and its value, when a set variable is not a
+    /// positive integer: a typo or a `0` fails the run instead of silently
+    /// serving with the default.
     pub fn from_env(mut self) -> Self {
-        let get = |key: &str| -> Option<usize> { std::env::var(key).ok()?.parse().ok() };
-        if let Some(workers) = get("RADAR_SERVE_WORKERS") {
-            self.workers = workers.max(1);
+        let count = |key: &str| match std::env::var(key) {
+            Ok(raw) => Some(parse_count(&raw).unwrap_or_else(|e| panic!("{key}={raw:?}: {e}"))),
+            Err(VarError::NotPresent) => None,
+            Err(VarError::NotUnicode(raw)) => panic!("{key}={raw:?}: not valid unicode"),
+        };
+        if let Some(workers) = count("RADAR_SERVE_WORKERS") {
+            self.workers = workers;
         }
-        if let Some(batch) = get("RADAR_SERVE_BATCH") {
-            self.max_batch = batch.max(1);
+        if let Some(batch) = count("RADAR_SERVE_BATCH") {
+            self.max_batch = batch;
         }
         self
     }
@@ -150,22 +153,6 @@ impl ServeConfig {
         self
     }
 
-    /// The per-worker-fetch variant: each batch's worker copies and verifies the
-    /// model into its private arena instead of consuming the shared snapshot. The
-    /// equivalence baseline for [`FetchMode::SharedSnapshot`].
-    pub fn per_worker_fetch(mut self) -> Self {
-        self.fetch = FetchMode::PerWorker;
-        self
-    }
-
-    /// The float-oracle variant: workers run the pre-quantized-native pipeline
-    /// (fetch → model write-back → dequantize-everything → float forward). Used by
-    /// the equivalence tests and the `bench_infer` baseline.
-    pub fn float_oracle(mut self) -> Self {
-        self.exec = ExecPath::FloatOracle;
-        self
-    }
-
     /// Panics unless the configuration is runnable (non-zero workers, batch size and
     /// window; a non-empty queue).
     pub fn validate(&self) {
@@ -173,6 +160,16 @@ impl ServeConfig {
         assert!(self.max_batch >= 1, "max_batch must be non-zero");
         assert!(self.queue_capacity >= 1, "queue_capacity must be non-zero");
         assert!(self.window >= 1, "window must be non-zero");
+    }
+}
+
+/// Parses a count knob such as `RADAR_SERVE_WORKERS`: a positive decimal integer.
+/// Empty, negative, zero and non-numeric values are errors, never a silent default.
+fn parse_count(raw: &str) -> Result<usize, String> {
+    match raw.parse::<usize>() {
+        Ok(0) => Err("must be at least 1".to_owned()),
+        Ok(n) => Ok(n),
+        Err(e) => Err(format!("expected a positive integer ({e})")),
     }
 }
 
@@ -189,7 +186,18 @@ mod tests {
         assert_eq!(cfg.obs.level, ObsLevel::Counters);
         assert_eq!(cfg.with_obs(ObsLevel::Full).obs.level, ObsLevel::Full);
         assert_eq!(cfg.fetch, FetchMode::SharedSnapshot);
-        assert_eq!(cfg.per_worker_fetch().fetch, FetchMode::PerWorker);
+        assert_eq!(cfg.exec, ExecPath::QuantizedNative);
+    }
+
+    #[test]
+    fn count_knobs_parse_strictly() {
+        assert_eq!(parse_count("1"), Ok(1));
+        assert_eq!(parse_count("16"), Ok(16));
+        assert_eq!(parse_count("0"), Err("must be at least 1".to_owned()));
+        for bad in ["two", "-1", "", " 2", "2.0"] {
+            let err = parse_count(bad).expect_err(bad);
+            assert!(err.contains("positive integer"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -26,8 +26,10 @@
 //!
 //! [`serve`](engine::serve) wires the components: a bounded request queue feeds a
 //! batcher that coalesces up to `max_batch` requests (waiting at most `max_wait`);
-//! workers re-fetch the weights from the shared [`WeightDram`](radar_memsim::WeightDram)
-//! for every batch, verifying layer by layer in the fetch path; a background scrubber
+//! for every batch the ticket-holding worker copies the weights out of the shared
+//! [`WeightDram`](radar_memsim::WeightDram) in one fused fetch-and-verify pass,
+//! recovers anything flagged, and publishes the verified snapshot every worker then
+//! runs the integer GEMM off; a background scrubber
 //! sweeps the DRAM image incrementally between batches; a scripted adversary mounts
 //! [`AttackTimeline`](radar_memsim::AttackTimeline) strikes mid-service. Recovery
 //! zeroes flagged groups directly in the DRAM image (and refreshes the golden

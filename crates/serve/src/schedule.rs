@@ -19,12 +19,13 @@
 //! * **no corrupted traffic served** under in-path verification with barriers.
 //!
 //! The checker runs the *same code* the engine runs — [`crate::steps`]'s
-//! `fetch_arena_verified`/`scrub_sweep` and [`crate::recovery`]'s re-checking
+//! `build_snapshot`/`refresh_layers`/`scrub_sweep` and [`crate::recovery`]'s re-checking
 //! recovery operate on a real [`WeightDram`] and [`RadarProtection`] — only the
 //! scheduling differs: instead of OS threads, a memoized depth-first search forks
 //! the whole state at every enabled step. [`Mutation`] seeds deliberately broken
 //! protocol variants (skip the recovery re-check, publish the fetch ticket before
-//! recovering, drop the ticket wait entirely) and the test suite demonstrates the
+//! recovering, drop the ticket wait, drop the previous-epoch window, publish the
+//! snapshot before its refresh) and the test suite demonstrates the
 //! checker catches each one — the "teeth" that justify trusting a green run.
 
 use std::collections::{BTreeSet, HashMap};
@@ -38,12 +39,8 @@ use radar_quant::{QuantizedModel, MSB};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::config::FetchMode;
 use crate::recovery::recover_in_dram_traced;
-use crate::steps::{
-    build_snapshot, fetch_arena_verified, refresh_layers, rotation_step, scrub_sweep,
-    RotationAction,
-};
+use crate::steps::{build_snapshot, refresh_layers, rotation_step, scrub_sweep, RotationAction};
 
 /// Cap on recorded violations; exploration continues (for accurate state/schedule
 /// counts) but further violations are dropped once this many are recorded.
@@ -81,7 +78,7 @@ pub enum Mutation {
     /// bytes. The batch and epoch stamps still match — only the build→refresh→publish
     /// ordering is broken — so the stamp asserts cannot save the run and the
     /// pre-recovery corruption reaches traffic: a corrupt-served violation the
-    /// checker must find. Only meaningful under [`FetchMode::SharedSnapshot`].
+    /// checker must find.
     StaleSnapshot,
 }
 
@@ -119,10 +116,6 @@ pub struct Scenario {
     /// performs exactly one rotation action — begin, re-sign one layer, publish,
     /// retire — mirroring the engine's re-keying task.
     pub rotate_every: usize,
-    /// How a batch's verified weights reach its worker: the shared-snapshot
-    /// publish/consume protocol (the engine default) or the per-worker arena
-    /// baseline. Both must satisfy the same invariants.
-    pub fetch: FetchMode,
     /// The scripted strike, if any.
     pub strike: Option<StrikeSpec>,
     /// When set, the adversary and scrubber are *not* held at the fetch barrier:
@@ -176,7 +169,6 @@ impl Scenario {
             scrub_every: 2,
             scrub_layers: 2,
             rotate_every: 0,
-            fetch: FetchMode::SharedSnapshot,
             strike: None,
             relax_barrier: false,
             mutation: Mutation::None,
@@ -315,16 +307,16 @@ enum Phase {
     Verified {
         batch: usize,
         report: DetectionReport,
-        arena: Vec<Vec<i8>>,
+        layers: Vec<Vec<i8>>,
     },
     Recovering {
         batch: usize,
         report: DetectionReport,
-        arena: Vec<Vec<i8>>,
+        layers: Vec<Vec<i8>>,
     },
     Serving {
         batch: usize,
-        arena: Vec<Vec<i8>>,
+        layers: Vec<Vec<i8>>,
     },
 }
 
@@ -528,11 +520,12 @@ impl State {
         self.recovery.weights_zeroed += recovered.weights_zeroed;
     }
 
-    /// Accounts what batch `batch` serves: every arena byte must be either the clean
-    /// value or zero-with-its-group-recovered; anything else is corrupted traffic.
-    fn account_serving(&mut self, sc: &Scenario, batch: usize, arena: &[Vec<i8>]) {
+    /// Accounts what batch `batch` serves: every snapshot byte must be either the
+    /// clean value or zero-with-its-group-recovered; anything else is corrupted
+    /// traffic.
+    fn account_serving(&mut self, sc: &Scenario, batch: usize, layers: &[Vec<i8>]) {
         let mut corrupt = 0usize;
-        for (layer, bytes) in arena.iter().enumerate() {
+        for (layer, bytes) in layers.iter().enumerate() {
             for (i, &value) in bytes.iter().enumerate() {
                 if value == sc.clean[layer][i] {
                     continue;
@@ -549,51 +542,45 @@ impl State {
         }
     }
 
-    /// Finishes a worker's pre-serve work: recovery (if flagged), arena refresh,
-    /// snapshot publish/consume (in shared-snapshot mode) and ticket publish, in the
-    /// order the protocol variant prescribes. The worker then serves its (now fixed)
-    /// weight snapshot as a separate, concurrent step.
+    /// Finishes a worker's pre-serve work: recovery (if flagged), snapshot refresh,
+    /// snapshot publish/consume and ticket publish, in the order the protocol
+    /// variant prescribes. The worker then serves its (now fixed) snapshot as a
+    /// separate, concurrent step.
     fn finish_batch(
         &mut self,
         sc: &Scenario,
         w: usize,
         batch: usize,
         report: &DetectionReport,
-        mut arena: Vec<Vec<i8>>,
+        mut layers: Vec<Vec<i8>>,
         publish: bool,
     ) {
-        let shared = sc.fetch == FetchMode::SharedSnapshot;
-        if shared && sc.mutation == Mutation::StaleSnapshot {
+        if sc.mutation == Mutation::StaleSnapshot {
             // The seeded bug: publish the snapshot before recovery refreshes it.
             // The batch stamp is correct — only the ordering is broken.
-            self.slot = Some((batch, arena.clone()));
+            self.slot = Some((batch, layers.clone()));
         }
         if report.attack_detected() {
             self.recover(sc, report);
-            refresh_layers(&self.dram, report, &mut arena);
+            refresh_layers(&self.dram, report, &mut layers);
         }
-        let arena = if shared {
-            if sc.mutation != Mutation::StaleSnapshot {
-                // The shipped ordering: build → recover → refresh → publish.
-                self.slot = Some((batch, arena));
-            }
-            // Consume `latest()` while still holding the fetch ticket, asserting
-            // the stamp exactly as the engine does. Under `StaleSnapshot` the
-            // stamp still matches — the assert cannot catch the broken ordering,
-            // which is the point: the corrupt-served invariant has to.
-            let (stamp, layers) = self
-                .slot
-                .clone()
-                .expect("the ticket holder published a snapshot");
-            assert_eq!(stamp, batch, "stale snapshot consumed");
-            layers
-        } else {
-            arena
-        };
+        if sc.mutation != Mutation::StaleSnapshot {
+            // The shipped ordering: build → recover → refresh → publish.
+            self.slot = Some((batch, layers));
+        }
+        // Consume `latest()` while still holding the fetch ticket, asserting the
+        // stamp exactly as the engine does. Under `StaleSnapshot` the stamp still
+        // matches — the assert cannot catch the broken ordering, which is the
+        // point: the corrupt-served invariant has to.
+        let (stamp, layers) = self
+            .slot
+            .clone()
+            .expect("the ticket holder published a snapshot");
+        assert_eq!(stamp, batch, "stale snapshot consumed");
         if publish {
             self.fetched = batch + 1;
         }
-        self.workers[w].phase = Phase::Serving { batch, arena };
+        self.workers[w].phase = Phase::Serving { batch, layers };
     }
 
     fn apply(&mut self, sc: &Scenario, cadence: &Cadence, op: Op) {
@@ -617,8 +604,7 @@ impl State {
                 let Phase::Pinned { batch, epoch } = phase else {
                     unreachable!("fetch requires a pinned epoch");
                 };
-                let mut arena: Vec<Vec<i8>> = (0..sc.num_layers).map(|_| Vec::new()).collect();
-                let mut acc = Vec::new();
+                let (mut layers, mut acc) = (Vec::new(), Vec::new());
                 let mut unused = Duration::ZERO;
                 // The seeded NoPreviousEpoch bug: a pin the (prematurely retired)
                 // protection no longer accepts is "assumed clean" instead of
@@ -627,15 +613,11 @@ impl State {
                 let skip_verify =
                     sc.mutation == Mutation::NoPreviousEpoch && !self.prot.accepts_epoch(epoch);
                 let prot = (sc.inpath_verify && !skip_verify).then_some((&self.prot, epoch));
-                let report = if sc.fetch == FetchMode::SharedSnapshot {
-                    build_snapshot(&self.dram, prot, &mut arena, &mut acc, &mut unused)
-                } else {
-                    fetch_arena_verified(&self.dram, prot, &mut arena, &mut acc, &mut unused)
-                };
+                let report = build_snapshot(&self.dram, prot, &mut layers, &mut acc, &mut unused);
                 self.workers[w].phase = Phase::Verified {
                     batch,
                     report,
-                    arena,
+                    layers,
                 };
             }
             Op::WorkerPublish(w) => {
@@ -643,7 +625,7 @@ impl State {
                 let Phase::Verified {
                     batch,
                     report,
-                    arena,
+                    layers,
                 } = phase
                 else {
                     unreachable!("publish requires a verified fetch");
@@ -657,33 +639,33 @@ impl State {
                         self.workers[w].phase = Phase::Recovering {
                             batch,
                             report,
-                            arena,
+                            layers,
                         };
                         return;
                     }
                 }
-                self.finish_batch(sc, w, batch, &report, arena, true);
+                self.finish_batch(sc, w, batch, &report, layers, true);
             }
             Op::WorkerRecover(w) => {
                 let phase = std::mem::replace(&mut self.workers[w].phase, Phase::Idle);
                 let Phase::Recovering {
                     batch,
                     report,
-                    arena,
+                    layers,
                 } = phase
                 else {
                     unreachable!("deferred recovery requires a recovering worker");
                 };
                 // Ticket already (wrongly) published by the mutated publish step.
-                self.finish_batch(sc, w, batch, &report, arena, false);
+                self.finish_batch(sc, w, batch, &report, layers, false);
             }
             Op::WorkerServe(w) => {
                 let phase = std::mem::replace(&mut self.workers[w].phase, Phase::Idle);
-                let Phase::Serving { batch, arena } = phase else {
+                let Phase::Serving { batch, layers } = phase else {
                     unreachable!("serve requires a published batch");
                 };
                 self.completed += 1;
-                self.account_serving(sc, batch, &arena);
+                self.account_serving(sc, batch, &layers);
                 let worker = &mut self.workers[w];
                 worker.next_batch += sc.workers;
                 worker.phase = Phase::Idle;
@@ -797,27 +779,27 @@ impl State {
                 Phase::Verified {
                     batch,
                     report,
-                    arena,
+                    layers,
                 } => {
                     1u8.hash(&mut h);
                     batch.hash(&mut h);
                     report.flagged.hash(&mut h);
-                    arena.hash(&mut h);
+                    layers.hash(&mut h);
                 }
                 Phase::Recovering {
                     batch,
                     report,
-                    arena,
+                    layers,
                 } => {
                     2u8.hash(&mut h);
                     batch.hash(&mut h);
                     report.flagged.hash(&mut h);
-                    arena.hash(&mut h);
+                    layers.hash(&mut h);
                 }
-                Phase::Serving { batch, arena } => {
+                Phase::Serving { batch, layers } => {
                     3u8.hash(&mut h);
                     batch.hash(&mut h);
-                    arena.hash(&mut h);
+                    layers.hash(&mut h);
                 }
             }
         }

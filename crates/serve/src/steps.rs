@@ -1,9 +1,10 @@
 //! The protocol steps of the serving engine, as plain functions over the shared
 //! state they touch.
 //!
-//! These are the atomic units of the serve/detect concurrency core: a worker's
-//! verified arena fetch, the scrubber's incremental sweep, and the walk over a
-//! detection report's flagged layers. The OS-scheduled engine ([`crate::engine`])
+//! These are the atomic units of the serve/detect concurrency core: the ticket
+//! holder's fused snapshot build and post-recovery refresh, the re-keying tick, the
+//! scrubber's incremental sweep, and the walk over a detection report's flagged
+//! layers. The OS-scheduled engine ([`crate::engine`])
 //! calls them under its `RwLock` guards; the deterministic schedule model-checker
 //! ([`crate::schedule`]) calls the *same* functions in exhaustively enumerated
 //! orders — so what the checker proves is a property of the code the engine runs,
@@ -21,44 +22,17 @@ use radar_obs::Stopwatch;
 
 use crate::recovery::recover_in_dram_traced;
 
-/// One worker's per-batch weight fetch: reads every layer's bytes from `dram` into
-/// the per-worker `arena`, verifying each layer's raw slice in the fetch path when
-/// `prot` is provided — under the [`KeyEpoch`] the worker *pinned* when its fetch
-/// ticket came up. A rotation publish landing between the pin and this call simply
-/// moves the pinned epoch into the protection's `{current, previous}` acceptance
-/// window; verification proceeds against the matching retained store either way.
-/// Returns the merged detection report (empty when `prot` is `None`).
-///
-/// `checking` accumulates the time spent in signature checks only — the per-layer
-/// weight copy is paid by the unprotected baseline too, so folding it in would
-/// overstate the verification cost.
-pub(crate) fn fetch_arena_verified(
-    dram: &WeightDram,
-    prot: Option<(&RadarProtection, KeyEpoch)>,
-    arena: &mut [Vec<i8>],
-    acc: &mut Vec<i32>,
-    checking: &mut Duration,
-) -> DetectionReport {
-    let mut flagged = DetectionReport::default();
-    for (layer, buf) in arena.iter_mut().enumerate() {
-        dram.read_layer_into(layer, buf);
-        if let Some((prot, epoch)) = prot {
-            let started = Stopwatch::start();
-            flagged.merge(&prot.verify_layer_values_at_epoch_with_scratch(epoch, layer, buf, acc));
-            *checking += started.elapsed_duration();
-        }
-    }
-    flagged
-}
-
 /// The per-batch snapshot build: one fused fetch-and-verify pass over every layer's
 /// DRAM bytes into the shared snapshot buffers `layers` — the batch's single sweep
 /// over the weight stream. With `prot` provided, each layer runs the fused kernel
 /// ([`RadarProtection::fetch_verify_layer_at_epoch_with_scratch`]) under the
 /// [`KeyEpoch`] the builder pinned at its fetch ticket: the bytes are copied out
-/// *while* the ±1 mask scatter-adds into the signature accumulators, so where the
-/// per-worker arena paid a copy pass plus a verify pass, the build pays one.
-/// Without a protection the build is a plain per-layer copy.
+/// *while* the ±1 mask scatter-adds into the signature accumulators, so the build
+/// sweeps the weight stream once instead of a copy pass plus a verify pass. A
+/// rotation publish landing between the pin and this call moves the pinned epoch
+/// into the protection's `{current, previous}` acceptance window; verification
+/// proceeds against the matching retained store either way. Without a protection
+/// the build is a plain per-layer copy.
 ///
 /// `layers` is resized to the layer count and refilled; capacities recycle across
 /// builds (the engine pools retired snapshot buffers). Returns the merged
@@ -195,9 +169,9 @@ pub(crate) fn scrub_sweep(
 /// (A [`DetectionReport`]'s flagged list is kept sorted by `(layer, group)` and
 /// deduplicated, so adjacent-duplicate suppression is exact.)
 ///
-/// Workers walk this after an in-path recovery to refresh exactly the recovered
-/// layers in their arena (or replica), so inference consumes the zeroed — not
-/// corrupted — weights.
+/// [`refresh_layers`] walks this after an in-path recovery to re-read exactly the
+/// recovered layers into the pending snapshot, so inference consumes the zeroed —
+/// not corrupted — weights.
 pub(crate) fn flagged_layers(report: &DetectionReport) -> impl Iterator<Item = usize> + '_ {
     let mut last = None;
     report.flagged.iter().filter_map(move |f| {
@@ -225,61 +199,54 @@ mod tests {
         (radar, dram)
     }
 
+    /// The unfused reference for [`build_snapshot`]: copy every layer out of DRAM,
+    /// then verify the copy in a second pass at `epoch`.
+    fn read_then_verify(
+        dram: &WeightDram,
+        radar: &RadarProtection,
+        epoch: KeyEpoch,
+    ) -> (DetectionReport, Vec<Vec<i8>>) {
+        let (mut report, mut acc) = (DetectionReport::default(), Vec::new());
+        let layers = (0..dram.num_layers())
+            .map(|layer| {
+                let mut buf = Vec::new();
+                dram.read_layer_into(layer, &mut buf);
+                report.merge(
+                    &radar.verify_layer_values_at_epoch_with_scratch(epoch, layer, &buf, &mut acc),
+                );
+                buf
+            })
+            .collect();
+        (report, layers)
+    }
+
     #[test]
-    fn fetch_arena_verified_flags_corruption_and_fills_the_arena() {
+    fn build_snapshot_matches_a_separate_read_and_verify_bit_for_bit() {
         let (radar, mut dram) = setup();
         dram.flip_bit(dram.offset_of(2, 5), MSB);
-        let mut arena: Vec<Vec<i8>> = (0..dram.num_layers()).map(|_| Vec::new()).collect();
-        let mut acc = Vec::new();
-        let mut checking = Duration::ZERO;
-        let report = fetch_arena_verified(
+        let epoch = radar.current_epoch();
+        let (mut acc, mut checking) = (Vec::new(), Duration::ZERO);
+        let mut snap = Vec::new();
+        let report = build_snapshot(
             &dram,
-            Some((&radar, radar.current_epoch())),
-            &mut arena,
+            Some((&radar, epoch)),
+            &mut snap,
             &mut acc,
             &mut checking,
         );
         assert!(report.attack_detected());
         assert!(report.contains(2, radar.group_of(2, 5)));
         assert!(checking > Duration::ZERO);
-        for (layer, buf) in arena.iter().enumerate() {
-            assert_eq!(buf.len(), dram.layer_len(layer));
-        }
-        // Without a protection the same fetch fills the arena but flags nothing.
-        let clean = fetch_arena_verified(&dram, None, &mut arena, &mut acc, &mut checking);
-        assert!(!clean.attack_detected());
-    }
-
-    #[test]
-    fn build_snapshot_matches_fetch_arena_verified_bit_for_bit() {
-        let (radar, mut dram) = setup();
-        dram.flip_bit(dram.offset_of(2, 5), MSB);
-        let mut arena: Vec<Vec<i8>> = (0..dram.num_layers()).map(|_| Vec::new()).collect();
-        let (mut acc, mut checking) = (Vec::new(), Duration::ZERO);
-        let arena_report = fetch_arena_verified(
-            &dram,
-            Some((&radar, radar.current_epoch())),
-            &mut arena,
-            &mut acc,
-            &mut checking,
-        );
-        let mut snap = Vec::new();
-        let snap_report = build_snapshot(
-            &dram,
-            Some((&radar, radar.current_epoch())),
-            &mut snap,
-            &mut acc,
-            &mut checking,
-        );
-        assert_eq!(snap_report, arena_report);
+        let (expect_report, expect_layers) = read_then_verify(&dram, &radar, epoch);
+        assert_eq!(report, expect_report);
         assert_eq!(
-            snap, arena,
-            "fused build must produce the arena's exact bytes"
+            snap, expect_layers,
+            "fused build must copy the exact DRAM bytes"
         );
         // The unprotected build copies the same bytes and flags nothing.
         let clean = build_snapshot(&dram, None, &mut snap, &mut acc, &mut checking);
         assert!(!clean.attack_detected());
-        assert_eq!(snap, arena);
+        assert_eq!(snap, expect_layers);
     }
 
     #[test]
@@ -389,16 +356,18 @@ mod tests {
         ) {}
         assert_eq!(radar.previous_epoch(), Some(pinned));
         dram.flip_bit(dram.offset_of(1, 2), MSB);
-        let mut arena: Vec<Vec<i8>> = (0..dram.num_layers()).map(|_| Vec::new()).collect();
-        let mut checking = Duration::ZERO;
-        let report = fetch_arena_verified(
+        let (mut snap, mut checking) = (Vec::new(), Duration::ZERO);
+        let report = build_snapshot(
             &dram,
             Some((&radar, pinned)),
-            &mut arena,
+            &mut snap,
             &mut acc,
             &mut checking,
         );
         assert!(report.contains(1, radar.group_of(1, 2)));
+        let (expect_report, expect_layers) = read_then_verify(&dram, &radar, pinned);
+        assert_eq!(report, expect_report);
+        assert_eq!(snap, expect_layers);
     }
 
     #[test]

@@ -71,8 +71,8 @@ pub(crate) fn spin_wait_watchdog(
 /// The serving engine's fetch ticket: the count of batches whose weight fetch (and
 /// any in-path recovery) has completed. The worker holding batch `current()` is the
 /// one allowed to fetch; everyone else waits. Publishing uses Release and every
-/// observation uses Acquire, so the DRAM reads and arena writes of batch `b`'s fetch
-/// happen-before anything batch `b + 1` (or a barrier-gated adversary/scrubber) does.
+/// observation uses Acquire, so the DRAM reads and snapshot writes of batch `b`'s
+/// fetch happen-before anything batch `b + 1` (or a barrier-gated adversary/scrubber) does.
 #[derive(Debug, Default)]
 pub(crate) struct FetchTicket {
     fetched: AtomicUsize,
@@ -178,7 +178,7 @@ impl VerifiedSnapshot {
 /// Ordering: a snapshot is published *before* the builder releases the fetch
 /// ticket ([`FetchTicket::publish`]'s Release store), so any thread that observed
 /// the ticket advance also observes the published snapshot — the same
-/// happens-before edge the arena writes used to ride.
+/// happens-before edge that orders the build's DRAM reads.
 #[derive(Debug, Default)]
 pub(crate) struct SnapshotSlot {
     published: Mutex<Option<Arc<VerifiedSnapshot>>>,

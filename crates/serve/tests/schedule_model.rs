@@ -7,7 +7,6 @@
 //! green run means something.
 
 use radar_serve::schedule::{explore, Mutation, Scenario, StrikeSpec};
-use radar_serve::FetchMode;
 
 fn strike_at(batch: usize) -> Option<StrikeSpec> {
     // One MSB flip in layer 1 — covered by the first scrub sweep (layers 0..2) and
@@ -151,23 +150,6 @@ fn quiet_rotation_completes_the_roll_without_deadlock_or_divergence() {
     assert_eq!(outcome.groups_zeroed, 0);
     assert_eq!(outcome.epochs_published, 1);
     assert_eq!(outcome.final_epoch, 1);
-    assert!(outcome.corrupt_served.is_empty());
-    assert!(outcome.final_dram_clean);
-}
-
-#[test]
-fn per_worker_fetch_mode_satisfies_the_same_invariants() {
-    // The pre-snapshot baseline (each worker copies and verifies into a private
-    // arena) must satisfy the identical invariants — it is the equivalence anchor
-    // the shared-snapshot protocol is gated against.
-    let mut scenario = Scenario::small(2, 4);
-    scenario.fetch = FetchMode::PerWorker;
-    scenario.strike = strike_at(2);
-    let report = explore(&scenario);
-    assert!(report.passed(), "violations: {:#?}", report.violations);
-    assert_eq!(report.terminal_outcomes, 1);
-    let outcome = report.outcome.expect("at least one terminal");
-    assert!(!outcome.detections.is_empty());
     assert!(outcome.corrupt_served.is_empty());
     assert!(outcome.final_dram_clean);
 }

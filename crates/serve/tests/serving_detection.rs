@@ -1,7 +1,8 @@
 //! Serving-time detection properties: flips that land *between* the layer fetches of
 //! one inference are caught no later than the next scrub sweep, recovery stays
 //! idempotent when the scrubber and the in-path check race on the same corruption,
-//! and the full engine replays its logical outcomes deterministically.
+//! the full engine replays its logical outcomes deterministically, and every served
+//! answer matches a float-forward replay of the weights that batch must have seen.
 
 use std::sync::RwLock;
 use std::time::Duration;
@@ -9,11 +10,9 @@ use std::time::Duration;
 use radar_attack::{AttackProfile, BitFlip, FlipDirection};
 use radar_core::{DetectionReport, RadarConfig, RadarProtection};
 use radar_memsim::{AttackTimeline, DramGeometry, MountEvent, RowhammerInjector, WeightDram};
-use radar_nn::{resnet20, ResNetConfig};
+use radar_nn::{argmax_rows, resnet20, ResNetConfig};
 use radar_quant::{QuantizedModel, MSB};
-use radar_serve::{
-    recover_in_dram, replicas, serve, ExecPath, FetchMode, ServeConfig, TrafficSchedule,
-};
+use radar_serve::{recover_in_dram, replicas, serve, AccuracyWindow, ServeConfig, TrafficSchedule};
 use radar_tensor::Tensor;
 
 fn tiny_model() -> QuantizedModel {
@@ -160,9 +159,7 @@ fn engine_config() -> ServeConfig {
         scrub_layers: 5,
         rotate_every: 0,
         window: 8,
-        exec: ExecPath::QuantizedNative,
-        fetch: FetchMode::SharedSnapshot,
-        obs: radar_serve::ObsConfig::default(),
+        ..ServeConfig::default()
     }
 }
 
@@ -273,62 +270,87 @@ fn engine_scrub_only_detects_within_a_cycle_and_replays_deterministically() {
     assert_eq!(logical_ttd(&a), logical_ttd(&b));
 }
 
-/// The quantized-native switch changes *how* workers compute, not *what* happens: an
-/// `attack_inpath`-shaped run replayed on the float-oracle path produces byte-identical
-/// logical telemetry — time-to-detect, recovery counts, detections, and every served
-/// accuracy window. (The two paths' logits differ only in where the scale rounding
-/// lands, which never moves an argmax on this seeded traffic.)
+/// The float-forward oracle lives here, not in the engine: every served batch is
+/// replayed through `QuantizedModel::forward_float` on a replica holding the bytes
+/// that batch must have seen — the clean image before the strike, and from the
+/// strike batch on the image recovered offline (same mount seed, then a full
+/// verify and `recover_in_dram`). Every served-accuracy window must match, for a
+/// clean run and for an `attack_inpath` run. (The integer and float paths differ
+/// only in where the scale rounding lands, which never moves an argmax on this
+/// seeded traffic.)
+///
+/// The strike is one MSB flip in the classifier, chosen so the clean, corrupted
+/// and recovered images each serve different window counts: a run that served the
+/// strike batch before its recovery, or kept serving pre-strike bytes, fails here.
 #[test]
-fn quantized_native_switch_preserves_attack_inpath_telemetry_exactly() {
-    let run = |exec: ExecPath| {
+fn served_windows_match_a_float_replay_of_the_expected_weights() {
+    let classifier = tiny_model().num_layers() - 1;
+    let strike = MountEvent {
+        at_batch: 4,
+        injector: RowhammerInjector::default(),
+        profile: profile(&[(classifier, 0)]),
+        seed: 1,
+    };
+    let cfg = engine_config();
+    let eval = eval_set(16);
+    let schedule = TrafficSchedule::new(7, 64);
+    for strike in [None, Some(strike)] {
         let signer = tiny_model();
         let protection = RadarProtection::new(&signer, RadarConfig::paper_default(32));
         let dram = WeightDram::load(&signer, DramGeometry::default());
-        let eval = eval_set(16);
-        let mut cfg = engine_config();
-        cfg.exec = exec;
-        let timeline = AttackTimeline::new(vec![MountEvent {
-            at_batch: 4,
-            injector: RowhammerInjector::default(),
-            profile: profile(&[(2, 5), (7, 0)]),
-            seed: 1,
-        }]);
-        serve(
+        let mut clean = tiny_model();
+        dram.fetch_into(&mut clean);
+        let recovered = strike.as_ref().map(|event| {
+            let (mut radar, mut image) = (protection.clone(), dram.clone());
+            assert!(event.mount(&mut image).flips_landed > 0);
+            let mut replica = tiny_model();
+            let report = image.fetch_into_verified(&mut replica, &radar);
+            assert!(report.attack_detected());
+            recover_in_dram(&mut radar, &mut image, &report);
+            image.fetch_into(&mut replica);
+            (event.at_batch, replica)
+        });
+        let timeline = AttackTimeline::new(strike.into_iter().collect());
+        let outcome = serve(
             replicas(cfg.workers, tiny_model),
             Some(protection),
             dram,
             &eval,
-            &TrafficSchedule::new(7, 64),
+            &schedule,
             timeline,
             &cfg,
-        )
-    };
+        );
+        assert_eq!(outcome.attack.is_some(), recovered.is_some());
 
-    let native = run(ExecPath::QuantizedNative);
-    let oracle = run(ExecPath::FloatOracle);
-
-    let ttd = |o: &radar_serve::ServeOutcome| {
-        o.time_to_detect
-            .map(|t| (t.batches, t.requests, t.via_scrub))
-    };
-    assert_eq!(ttd(&native), ttd(&oracle), "time-to-detect");
-    assert_eq!(native.recovery, oracle.recovery, "recovery counts");
-    assert_eq!(
-        native
-            .detections
-            .iter()
-            .map(|d| (d.batch, d.via_scrub, d.groups_flagged))
-            .collect::<Vec<_>>(),
-        oracle
-            .detections
-            .iter()
-            .map(|d| (d.batch, d.via_scrub, d.groups_flagged))
-            .collect::<Vec<_>>(),
-        "detection events"
-    );
-    assert_eq!(native.windows, oracle.windows, "served accuracy windows");
-    assert_eq!(native.requests, oracle.requests);
-    assert_eq!(native.batches, oracle.batches);
+        let mut replays = (clean, recovered);
+        let mut correct = Vec::new();
+        let samples = schedule.sample_indices(eval.len());
+        for (batch, ids) in samples.chunks(cfg.max_batch).enumerate() {
+            let model = match &mut replays {
+                (_, Some((at_batch, recovered))) if batch >= *at_batch => recovered,
+                (clean, _) => clean,
+            };
+            let subset = eval.subset(ids);
+            let predictions = argmax_rows(&model.forward_float(subset.images()));
+            correct.extend(
+                predictions
+                    .iter()
+                    .zip(subset.labels())
+                    .map(|(prediction, label)| prediction == label),
+            );
+        }
+        let expected: Vec<AccuracyWindow> = correct
+            .chunks(cfg.window)
+            .enumerate()
+            .map(|(i, chunk)| AccuracyWindow {
+                start: i * cfg.window,
+                end: i * cfg.window + chunk.len(),
+                correct: chunk.iter().filter(|&&c| c).count(),
+                total: chunk.len(),
+            })
+            .collect();
+        assert_eq!(outcome.windows, expected, "strike: {}", replays.1.is_some());
+    }
 }
 
 /// With online key rotation armed, the engine completes a full epoch roll under live

@@ -7,12 +7,21 @@
 //! flag it; running against the actual workspace must flag nothing. Together the
 //! two directions prove the rules both *fire* and *don't cry wolf*.
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
-use radar_analyze::analyze_with_config_file;
+use radar_analyze::{analyze_with_config_file, scan};
 
 fn manifest_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+}
+
+fn workspace_root() -> PathBuf {
+    manifest_dir()
+        .parent()
+        .and_then(Path::parent)
+        .expect("workspace root")
+        .to_path_buf()
 }
 
 fn lints_toml() -> PathBuf {
@@ -60,12 +69,8 @@ fn determinism_rule_confines_the_wall_clock_to_the_obs_crate() {
     // The allowlist names `crates/obs/src/` and nothing else: the only sanctioned
     // `Instant::now` / `.elapsed(` hits in the real workspace must come from the
     // observability crate's clock module.
-    let root = manifest_dir()
-        .parent()
-        .and_then(Path::parent)
-        .expect("workspace root")
-        .to_path_buf();
-    let report = analyze_with_config_file(&root, &lints_toml()).expect("workspace analyzes");
+    let report =
+        analyze_with_config_file(&workspace_root(), &lints_toml()).expect("workspace analyzes");
     let determinism = report.rule("determinism").expect("rule exists");
     assert!(determinism.violations.is_empty());
     assert!(
@@ -108,8 +113,9 @@ fn barrier_rule_fires_even_when_the_justification_rule_is_satisfied() {
 fn snapshot_rule_catches_the_float_write_back_path() {
     let report = run_fixture("worker-snapshot-only");
     let rule = report.rule("worker-snapshot-only").expect("rule exists");
-    // The DRAM read, the replica write-back and the float forward all fire.
-    assert_eq!(rule.violations.len(), 3, "got: {:#?}", rule.violations);
+    // The DRAM read, the replica write-back, the float forward and the whole-model
+    // rescan all fire.
+    assert_eq!(rule.violations.len(), 4, "got: {:#?}", rule.violations);
 }
 
 #[test]
@@ -120,14 +126,43 @@ fn unwrap_rule_skips_test_regions() {
     assert_eq!(rule.violations.len(), 1, "got: {:#?}", rule.violations);
 }
 
+/// A token rule scoped by `functions` or `files` silently covers nothing once the
+/// named function or file is renamed or deleted: every scope entry, and every
+/// allowlist path, must still name something in the real workspace.
+#[test]
+fn every_scope_entry_names_something_in_the_real_workspace() {
+    let text = std::fs::read_to_string(lints_toml()).expect("lints.toml is readable");
+    let config = radar_analyze::parse(&text).expect("lints.toml parses");
+    let files = scan::scan_workspace(&workspace_root()).expect("workspace scans");
+    let functions: HashSet<&str> = files
+        .iter()
+        .flat_map(|f| f.enclosing_fn.iter().flatten())
+        .map(String::as_str)
+        .collect();
+    let mut dangling = Vec::new();
+    for rule in &config.rules {
+        for name in &rule.functions {
+            if !functions.contains(name.as_str()) {
+                dangling.push(format!("{}: function `{name}`", rule.id));
+            }
+        }
+        for path in rule.files.iter().chain(rule.allow.iter().map(|a| &a.file)) {
+            if !files.iter().any(|f| f.rel.contains(path.as_str())) {
+                dangling.push(format!("{}: file `{path}`", rule.id));
+            }
+        }
+    }
+    assert!(
+        dangling.is_empty(),
+        "lints.toml scope entries that match nothing in the workspace:\n{}",
+        dangling.join("\n")
+    );
+}
+
 #[test]
 fn the_real_workspace_is_clean() {
-    let root = manifest_dir()
-        .parent()
-        .and_then(Path::parent)
-        .expect("workspace root")
-        .to_path_buf();
-    let report = analyze_with_config_file(&root, &lints_toml()).expect("workspace analyzes");
+    let report =
+        analyze_with_config_file(&workspace_root(), &lints_toml()).expect("workspace analyzes");
     assert!(
         report.files_scanned > 50,
         "scanned {}",

@@ -1,15 +1,12 @@
-//! Criterion micro-benchmarks of the RADAR signature primitive: masked addition
-//! checksum, per-layer signing, and the gather-vs-streaming verification comparison
-//! (the legacy per-group gather path against the precomputed `LayerPlan` sweep).
+//! Criterion micro-benchmarks of the RADAR signature primitive: the masked addition
+//! checksum and per-layer signing. Whole-model verify throughput (streaming plan,
+//! sharded, fused fetch) is measured by the `bench_verify` binary.
 
 // criterion_group! expands to undocumented glue functions.
 #![allow(missing_docs)]
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use radar_core::{
-    gather_signatures, group_signature, masked_sum, GroupLayout, Grouping, LayerPlan, SecretKey,
-    SignatureBits,
-};
+use radar_core::{group_signature, masked_sum, GroupLayout, Grouping, SecretKey, SignatureBits};
 
 fn bench_masked_sum(c: &mut Criterion) {
     let mut group = c.benchmark_group("masked_sum");
@@ -47,42 +44,9 @@ fn bench_layer_signing(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_gather_vs_streaming(c: &mut Criterion) {
-    // Verify a 256k-weight layer (≈ ResNet-18's largest conv) per pass: the legacy
-    // gather path re-derives the interleave mapping and allocates a member list per
-    // group, while the streaming path sweeps the weights once through a precomputed
-    // plan. Plan construction is hoisted out of the measured loop for the streaming
-    // side because it happens once, at signing time.
-    let weights: Vec<i8> = (0..262_144).map(|i| (i % 251 - 125) as i8).collect();
-    let key = SecretKey::new(0xACE1);
-    let layout = GroupLayout::new(weights.len(), 512, Grouping::interleaved());
-    let plan = LayerPlan::new(layout, key);
-    let mut acc = vec![0i32; layout.num_groups()];
-    let mut sigs = Vec::with_capacity(layout.num_groups());
-
-    let mut group = c.benchmark_group("verify_256k_g512");
-    group.bench_function("legacy_gather", |b| {
-        b.iter(|| {
-            black_box(gather_signatures(
-                black_box(&weights),
-                &layout,
-                &key,
-                SignatureBits::Two,
-            ))
-        })
-    });
-    group.bench_function("plan_streaming", |b| {
-        b.iter(|| {
-            plan.signatures_into(black_box(&weights), SignatureBits::Two, &mut acc, &mut sigs);
-            black_box(sigs.last().copied())
-        })
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_masked_sum, bench_layer_signing, bench_gather_vs_streaming
+    targets = bench_masked_sum, bench_layer_signing
 }
 criterion_main!(benches);

@@ -1,10 +1,9 @@
 //! Runs the attack × defense scenario campaign: every cell of a declarative
-//! [`ScenarioGrid`](radar_bench::campaign::ScenarioGrid) executed across a pool of
-//! worker threads, writing the per-cell table to `artifacts/results/campaign.txt` and
-//! the machine-readable `artifacts/results/BENCH_campaign.json`.
+//! [`ScenarioGrid`] executed across a pool of worker threads, writing the per-cell
+//! table to `artifacts/results/campaign.txt` and the machine-readable
+//! `artifacts/results/BENCH_campaign.json`.
 //!
-//! Environment knobs on top of the usual [`Budget`](radar_bench::harness::Budget)
-//! variables:
+//! Environment knobs on top of the usual [`Budget`] variables:
 //!
 //! | Variable | Meaning | Default |
 //! |---|---|---|

@@ -5,8 +5,8 @@
 //! `artifacts/results/BENCH_rotation.json`.
 //!
 //! `--smoke` selects the CI-sized timeline (one rotation tick per batch, just enough
-//! traffic for a full roll). The usual [`Budget`](radar_bench::harness::Budget) and
-//! `RADAR_SERVE_*` environment knobs apply.
+//! traffic for a full roll). The usual [`Budget`] and `RADAR_SERVE_*` environment
+//! knobs apply.
 
 use radar_bench::harness::{prepare, Budget, ModelKind};
 use radar_bench::rotation::{self, RotationBenchParams};

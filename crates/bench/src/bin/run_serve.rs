@@ -8,8 +8,7 @@
 //! additionally replays one fully-instrumented scenario (strike + rotation armed,
 //! `ObsLevel::Full`) and writes the validated Chrome `trace_event` export to
 //! `artifacts/results/TRACE_serve.json` (loadable at <https://ui.perfetto.dev>).
-//! Environment knobs on top of the usual
-//! [`Budget`](radar_bench::harness::Budget) variables:
+//! Environment knobs on top of the usual [`Budget`] variables:
 //!
 //! | Variable | Meaning | Default |
 //! |---|---|---|

@@ -634,10 +634,9 @@ fn run_cell(
 /// `prepared.budget.threads` scoped workers.
 ///
 /// Shared attack profiles are precomputed (and disk-cached) up front; each worker then
-/// rebuilds its own model replica from the training checkpoint via
-/// [`fresh_model`](crate::harness::fresh_model) and drains cells from an atomic
-/// cursor. Results are deterministic for a given grid and budget regardless of the
-/// worker count.
+/// rebuilds its own model replica from the training checkpoint via [`fresh_model`]
+/// and drains cells from an atomic cursor. Results are deterministic for a given
+/// grid and budget regardless of the worker count.
 pub fn run(prepared: &mut Prepared, grid: &ScenarioGrid) -> CampaignOutcome {
     let start = Stopwatch::start();
     let shared = precompute_profiles(prepared, grid);

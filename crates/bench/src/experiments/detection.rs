@@ -34,9 +34,8 @@ pub fn average_detected(
 }
 
 /// Fig. 4: detected bit-flips (out of `N_BF`) versus group size, with and without
-/// interleaving — a thin view over a PBFA campaign row: one
-/// [`ScenarioGrid`](crate::campaign::ScenarioGrid) cell per `(G, interleave)` pair,
-/// executed by the parallel campaign engine.
+/// interleaving — a thin view over a PBFA campaign row: one [`ScenarioGrid`] cell
+/// per `(G, interleave)` pair, executed by the parallel campaign engine.
 pub fn fig4(prepared: &mut Prepared) -> Report {
     let budget = prepared.budget;
     let attack = AttackSpec::Pbfa {

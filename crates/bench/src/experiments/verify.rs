@@ -1,10 +1,10 @@
-//! Verification-throughput experiment: legacy per-group gather detection versus the
-//! precomputed streaming [`VerifyPlan`](radar_core::VerifyPlan) sweep — sequential,
-//! sharded-parallel (1/2/4 threads), and the fused fetch-and-verify kernel against
-//! its two-pass copy-then-verify baseline — measured on the ResNet-18-like model.
-//! The measured speedup is the in-repo evidence for the paper's fetch-path framing
-//! (Table IV): verification must keep up with the weight-fetch stream, so detect
-//! throughput — not just detection accuracy — is a tracked number.
+//! Verification-throughput experiment: the precomputed streaming
+//! [`VerifyPlan`](radar_core::VerifyPlan) sweep — sequential, sharded-parallel
+//! (1/2/4 threads), and the fused fetch-and-verify kernel against its two-pass
+//! copy-then-verify baseline — measured on the ResNet-18-like model. This is the
+//! in-repo evidence for the paper's fetch-path framing (Table IV): verification must
+//! keep up with the weight-fetch stream, so detect throughput — not just detection
+//! accuracy — is a tracked number.
 //!
 //! Besides the human-readable report, the experiment writes
 //! `artifacts/results/BENCH_verify.json` (now including `parallel` points per thread
@@ -12,9 +12,7 @@
 //! smaller machine is interpretable) so CI can archive the throughput trajectory
 //! across commits.
 
-use radar_core::{
-    gather_signatures, DetectionReport, FlaggedGroup, RadarConfig, RadarProtection, VERIFY_SWEEPS,
-};
+use radar_core::{DetectionReport, RadarConfig, RadarProtection, VERIFY_SWEEPS};
 use radar_memsim::{DramGeometry, WeightDram};
 use radar_nn::{resnet18, ResNetConfig};
 use radar_obs::{set_global_level, ObsLevel, Stopwatch};
@@ -30,28 +28,6 @@ const GROUP_SIZES: [usize; 2] = [128, 512];
 /// code at its sequential degenerate point).
 const PARALLEL_THREADS: [usize; 3] = [1, 2, 4];
 
-/// The pre-plan detection path, the measurement baseline: per layer, re-derive the
-/// member lists from the layout and gather the weights through the shared
-/// [`gather_signatures`] reference before comparing with the golden store.
-fn legacy_detect(radar: &RadarProtection, model: &QuantizedModel) -> DetectionReport {
-    let bits = radar.config().signature_bits;
-    let mut report = DetectionReport::default();
-    for (layer_idx, protection) in radar.layers().iter().enumerate() {
-        let values = model.layer_values(layer_idx);
-        let layout = protection.layout();
-        let sigs = gather_signatures(values, &layout, &protection.key(), bits);
-        for (group, &sig) in sigs.iter().enumerate() {
-            if sig != radar.golden().signature(layer_idx, group) {
-                report.flagged.push(FlaggedGroup {
-                    layer: layer_idx,
-                    group,
-                });
-            }
-        }
-    }
-    report
-}
-
 /// The two-pass weight-fetch baseline: copy every layer out of DRAM, then run the
 /// streaming verify over the copy — what a fetch without the fused kernel pays
 /// per batch.
@@ -61,18 +37,17 @@ fn split_fetch_verify(
     layers: &mut [Vec<i8>],
     acc: &mut Vec<i32>,
 ) -> DetectionReport {
-    let epoch = radar.current_epoch();
     let mut report = DetectionReport::default();
     for (layer, buf) in layers.iter_mut().enumerate() {
         dram.read_layer_into(layer, buf);
-        report.merge(&radar.verify_layer_values_at_epoch_with_scratch(epoch, layer, buf, acc));
+        report.merge(&radar.verify_layer_values_with_scratch(layer, buf, acc));
     }
     report
 }
 
 /// The fused fetch-and-verify sweep: one pass per layer copies the DRAM bytes out
-/// while scatter-adding the ±1 mask into the signature accumulators — what the
-/// shared-snapshot build pays per batch.
+/// while accumulating the masked group sums — what the shared-snapshot build pays
+/// per batch.
 fn fused_fetch_verify(
     radar: &RadarProtection,
     dram: &WeightDram,
@@ -106,10 +81,9 @@ fn median_seconds(iters: usize, mut f: impl FnMut()) -> f64 {
     times[times.len() / 2]
 }
 
-/// One measured `(group size, legacy, streaming, parallel…)` point.
+/// One measured `(group size, streaming, parallel…)` point.
 struct Measurement {
     group_size: usize,
-    legacy_seconds: f64,
     plan_seconds: f64,
     /// `(threads, seconds)` per measured parallel thread count.
     parallel_seconds: Vec<(usize, f64)>,
@@ -123,10 +97,6 @@ struct Measurement {
 }
 
 impl Measurement {
-    fn speedup(&self) -> f64 {
-        self.legacy_seconds / self.plan_seconds
-    }
-
     /// Speedup of the fused fetch-and-verify over the two-pass fetch baseline.
     fn fused_speedup(&self) -> f64 {
         self.split_fetch_seconds / self.fused_fetch_seconds
@@ -157,21 +127,19 @@ pub fn bench_verify(budget: &Budget) -> Report {
     let iters = budget.verify_iters;
 
     let hardware_threads = crate::harness::default_threads();
-    let mut report = Report::new("Verification throughput — legacy gather vs streaming plan");
+    let mut report = Report::new("Verification throughput — streaming plan, sharded and fused");
     report.line(format!(
         "ResNet-18-like model, {total_weights} weights, median of {iters} passes, \
          {hardware_threads} hardware threads"
     ));
     report.row(&[
         "G".into(),
-        "legacy (ms)".into(),
         "plan (ms)".into(),
         "1t (ms)".into(),
         "2t (ms)".into(),
         "4t (ms)".into(),
         "split (ms)".into(),
         "fused (ms)".into(),
-        "speedup".into(),
         "fused speedup".into(),
     ]);
 
@@ -182,7 +150,6 @@ pub fn bench_verify(budget: &Budget) -> Report {
     for g in GROUP_SIZES {
         let radar = RadarProtection::new(&model, RadarConfig::paper_default(g));
         // Sanity: all paths agree on the clean model before being timed.
-        assert!(!legacy_detect(&radar, &model).attack_detected());
         assert!(!radar.detect(&model).attack_detected());
         for t in PARALLEL_THREADS {
             assert!(!radar.detect_parallel(&model, t).attack_detected());
@@ -190,9 +157,6 @@ pub fn bench_verify(budget: &Budget) -> Report {
         assert!(!split_fetch_verify(&radar, &dram, &mut layers, &mut acc).attack_detected());
         assert!(!fused_fetch_verify(&radar, &dram, &mut layers, &mut acc).attack_detected());
 
-        let legacy_seconds = median_seconds(iters, || {
-            std::hint::black_box(legacy_detect(&radar, &model));
-        });
         let plan_seconds = median_seconds(iters, || {
             std::hint::black_box(radar.detect(&model));
         });
@@ -219,7 +183,6 @@ pub fn bench_verify(budget: &Budget) -> Report {
 
         let m = Measurement {
             group_size: g,
-            legacy_seconds,
             plan_seconds,
             parallel_seconds,
             split_fetch_seconds,
@@ -234,14 +197,12 @@ pub fn bench_verify(budget: &Budget) -> Report {
         };
         report.row(&[
             format!("{g}"),
-            format!("{:.3}", m.legacy_seconds * 1e3),
             format!("{:.3}", m.plan_seconds * 1e3),
             par_ms(1),
             par_ms(2),
             par_ms(4),
             format!("{:.3}", m.split_fetch_seconds * 1e3),
             format!("{:.3}", m.fused_fetch_seconds * 1e3),
-            format!("{:.1}x", m.speedup()),
             format!("{:.2}x", m.fused_speedup()),
         ]);
         measurements.push(m);
@@ -280,16 +241,13 @@ fn write_json(
                 .collect();
             format!(
                 concat!(
-                    "    {{\"group_size\": {}, \"legacy_seconds\": {:.9}, ",
-                    "\"plan_seconds\": {:.9}, \"speedup\": {:.3}, ",
+                    "    {{\"group_size\": {}, \"plan_seconds\": {:.9}, ",
                     "\"split_fetch_seconds\": {:.9}, \"fused_fetch_seconds\": {:.9}, ",
                     "\"fused_speedup\": {:.3}, ",
                     "\"plan_sweeps_per_pass\": {}, \"parallel\": [{}]}}"
                 ),
                 m.group_size,
-                m.legacy_seconds,
                 m.plan_seconds,
-                m.speedup(),
                 m.split_fetch_seconds,
                 m.fused_fetch_seconds,
                 m.fused_speedup(),
@@ -318,12 +276,12 @@ mod tests {
     use radar_quant::MSB;
 
     #[test]
-    fn legacy_and_streaming_detect_agree_on_a_corrupted_model() {
+    fn sequential_and_parallel_detect_agree_on_a_corrupted_model() {
         let mut model = QuantizedModel::new(Box::new(resnet20(&ResNetConfig::tiny(4))));
         let radar = RadarProtection::new(&model, RadarConfig::paper_default(32));
         model.flip_bit(1, 7, MSB);
         model.flip_bit(5, 0, MSB);
-        assert_eq!(legacy_detect(&radar, &model), radar.detect(&model));
+        assert!(radar.detect(&model).attack_detected());
         for t in PARALLEL_THREADS {
             assert_eq!(radar.detect(&model), radar.detect_parallel(&model, t));
         }

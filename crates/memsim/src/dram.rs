@@ -1,4 +1,3 @@
-use radar_core::{DetectionReport, RadarProtection};
 use radar_quant::QuantizedModel;
 
 /// Geometry of the modelled DRAM device.
@@ -134,8 +133,14 @@ impl WeightDram {
     ///
     /// # Panics
     ///
-    /// Panics if `layer` is out of bounds.
+    /// Panics if `layer` is out of bounds or `weight` is not below the layer's stored
+    /// length — an out-of-range weight would otherwise name a byte of the next layer.
     pub fn offset_of(&self, layer: usize, weight: usize) -> usize {
+        let len = self.layer_len(layer);
+        assert!(
+            weight < len,
+            "weight {weight} out of bounds for layer {layer} of {len} stored weights"
+        );
         self.layer_offsets[layer] + weight
     }
 
@@ -177,8 +182,7 @@ impl WeightDram {
 
     /// Copies one layer's stored bytes into `buf` as signed weight values, without
     /// touching any model — the view a background scrubber verifies directly against
-    /// the golden signatures (via
-    /// [`RadarProtection::verify_layer_values`](radar_core::RadarProtection::verify_layer_values)).
+    /// the golden signatures.
     ///
     /// `buf` is cleared and refilled; its capacity is reused across calls.
     ///
@@ -192,11 +196,9 @@ impl WeightDram {
         buf.extend(self.image[start..start + len].iter().map(|&b| b as i8));
     }
 
-    /// Borrows one layer's raw stored bytes — the zero-copy input of the fused
-    /// fetch-and-verify kernel
-    /// ([`LayerPlan::copy_accumulate`](radar_core::LayerPlan::copy_accumulate)),
-    /// which reinterprets and copies them itself so the fetch stream is swept
-    /// exactly once.
+    /// Borrows one layer's raw stored bytes — the zero-copy input of a fused
+    /// fetch-and-verify kernel, which reinterprets and copies them itself so the
+    /// fetch stream is swept exactly once.
     ///
     /// # Panics
     ///
@@ -264,40 +266,6 @@ impl WeightDram {
         for (i, value) in weights.values_mut().iter_mut().enumerate() {
             *value = self.image[start + i] as i8;
         }
-    }
-
-    /// Fetches every layer and verifies each one as soon as its bytes land on chip —
-    /// RADAR's signature check embedded in the weight-fetch path. Layer `i` is fetched
-    /// and streamed through `radar`'s [`VerifyPlan`](radar_core::VerifyPlan) before
-    /// layer `i + 1` is touched, so detection covers exactly the weights inference is
-    /// about to consume, not a whole-model rescan afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `model` or `radar` disagree with the layer sizes this image was built
-    /// from.
-    pub fn fetch_into_verified(
-        &self,
-        model: &mut QuantizedModel,
-        radar: &RadarProtection,
-    ) -> DetectionReport {
-        assert_eq!(
-            model.num_layers(),
-            self.layer_offsets.len(),
-            "layer count mismatch"
-        );
-        let mut report = DetectionReport::default();
-        // One accumulator sized for the widest layer serves every per-layer check.
-        let mut acc = vec![0i32; radar.plan().max_groups()];
-        for layer_idx in 0..self.layer_offsets.len() {
-            self.fetch_layer_into(model, layer_idx);
-            report.merge(&radar.detect_layers_with_scratch(
-                model,
-                layer_idx..layer_idx + 1,
-                &mut acc,
-            ));
-        }
-        report
     }
 }
 
@@ -387,30 +355,26 @@ mod tests {
     }
 
     #[test]
-    fn verified_fetch_flags_exactly_the_corrupted_layer() {
-        use radar_core::RadarConfig;
-
+    fn layer_bytes_expose_the_stored_corruption_to_the_fetch() {
         let mut m = model();
-        let radar = RadarProtection::new(&m, RadarConfig::paper_default(32));
+        let clean: Vec<u8> = m.layer_values(3).iter().map(|&v| v as u8).collect();
         let mut dram = WeightDram::load(&m, DramGeometry::default());
-        dram.flip_bit(dram.offset_of(3, 11), 7);
-        let report = dram.fetch_into_verified(&mut m, &radar);
-        assert!(report.attack_detected());
-        assert!(report.contains(3, radar.group_of(3, 11)));
-        assert!(report.flagged.iter().all(|f| f.layer == 3));
-        // The fetch itself delivered the corrupted byte on chip.
-        assert_eq!(
-            m.layer_values(3)[11],
-            dram.read(dram.offset_of(3, 11)) as i8
-        );
+        let offset = dram.offset_of(3, 11);
+        dram.flip_bit(offset, 7);
+        // The stored layer differs from the clean one in exactly the flipped byte…
+        let changed: Vec<usize> = (0..clean.len())
+            .filter(|&i| dram.layer_bytes(3)[i] != clean[i])
+            .collect();
+        assert_eq!(changed, vec![11]);
+        // …and the fetch delivers that corrupted byte on chip.
+        dram.fetch_into(&mut m);
+        assert_eq!(m.layer_values(3)[11], dram.read(offset) as i8);
     }
 
     #[test]
     fn read_layer_into_matches_model_values_and_write_recovers() {
-        use radar_core::{RadarConfig, RadarProtection};
-
         let mut m = model();
-        let radar = RadarProtection::new(&m, RadarConfig::paper_default(32));
+        let snapshot = m.snapshot();
         let mut dram = WeightDram::load(&m, DramGeometry::default());
         assert_eq!(dram.num_layers(), m.num_layers());
         let mut buf = Vec::new();
@@ -420,19 +384,29 @@ mod tests {
             assert_eq!(buf.as_slice(), m.layer_values(layer));
         }
 
-        // Corrupt a byte in DRAM: the raw-slice verification over the stored bytes
-        // flags it without any model fetch, and `write` restores it in place.
+        // Corrupt a byte in DRAM: the raw read sees it without any model fetch, and
+        // `write` restores it in place.
         let offset = dram.offset_of(4, 9);
         let clean = dram.read(offset);
         dram.flip_bit(offset, 7);
         dram.read_layer_into(4, &mut buf);
-        assert!(radar.verify_layer_values(4, &buf).attack_detected());
+        assert_eq!(buf[9], (clean ^ 0x80) as i8);
         dram.write(offset, clean);
         dram.read_layer_into(4, &mut buf);
-        assert!(!radar.verify_layer_values(4, &buf).attack_detected());
+        assert_eq!(buf.as_slice(), m.layer_values(4));
         // The in-core model was never involved.
         dram.fetch_into(&mut m);
-        assert!(!radar.detect(&m).attack_detected());
+        assert_eq!(m.snapshot(), snapshot);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds for layer 0")]
+    fn offset_past_the_layer_end_panics() {
+        let m = model();
+        let dram = WeightDram::load(&m, DramGeometry::default());
+        // One past layer 0's end is layer 1's first byte: naming it as layer 0 must
+        // panic instead of silently aliasing the next layer.
+        dram.offset_of(0, dram.layer_len(0));
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //!
 //! * [`WeightDram`] — a bank/row/column DRAM image of a model's weight bytes, with
 //!   address translation, bit-precise corruption and a `fetch_into` path modelling the
-//!   DRAM → on-chip transfer that precedes RADAR's check. `fetch_into_verified`
-//!   embeds the check *in* the fetch: each layer is streamed through the protection's
-//!   precomputed verification plan the moment its bytes arrive.
+//!   DRAM → on-chip transfer that precedes RADAR's check. `layer_bytes` hands one
+//!   layer's raw bytes to the detector's fused fetch-and-verify kernel; the
+//!   simulator itself knows nothing of signatures.
 //! * [`RowhammerInjector`] — mounts an [`AttackProfile`](radar_attack::AttackProfile)
 //!   onto the stored image, optionally with a per-flip success probability.
 //! * [`AttackTimeline`] / [`MountEvent`] — scripted mid-service strikes at

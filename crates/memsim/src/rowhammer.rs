@@ -84,6 +84,11 @@ impl RowhammerInjector {
     }
 
     /// Mounts `profile` onto the stored weight image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a flip names a `(layer, weight)` outside the stored image (see
+    /// [`WeightDram::offset_of`]).
     pub fn mount<R: Rng + ?Sized>(
         &self,
         dram: &mut WeightDram,

@@ -12,7 +12,7 @@ const BASE_NS: f64 = 1_000.0;
 const EXACT_SAMPLES: u64 = 64;
 
 /// A fixed-bucket, log-spaced latency histogram (no external dependencies). Records
-/// nanosecond samples; at or below [`EXACT_SAMPLES`] recorded samples quantiles are
+/// nanosecond samples; at or below `EXACT_SAMPLES` recorded samples quantiles are
 /// nearest-rank exact, above that they interpolate within the containing
 /// quarter-octave bucket.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,7 +129,7 @@ impl LatencyHistogram {
     }
 
     /// The `q`-quantile (`0 < q <= 1`) in nanoseconds; 0 when the histogram is
-    /// empty. Nearest-rank exact at or below [`EXACT_SAMPLES`] recorded samples,
+    /// empty. Nearest-rank exact at or below `EXACT_SAMPLES` recorded samples,
     /// linearly interpolated within the containing bucket above.
     ///
     /// # Panics

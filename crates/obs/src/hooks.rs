@@ -107,7 +107,7 @@ impl ObsShard {
         self.registry.record_ns(name, labels, ns);
     }
 
-    /// Opens a span. Below [`ObsLevel::Full`] this is one branch and returns a
+    /// Opens a span. Below [`ObsLevel::Full`](crate::ObsLevel::Full) this is one branch and returns a
     /// disabled timer; at `Full` it reads the session clock once.
     #[inline]
     pub fn span_start(&self) -> SpanTimer {

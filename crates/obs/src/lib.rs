@@ -20,7 +20,7 @@
 //!    Full`, where `Off` is one branch on a bool: no allocation, no `Instant::now`.
 //!    The `obs-off-purity` and `determinism` rules in `crates/analyze/lints.toml`
 //!    enforce both halves mechanically (the only `Instant::now` in the workspace
-//!    lives in [`clock`]).
+//!    lives in the private `clock` module).
 //!
 //! Exporters: [`EventJournal::annotated_jsonl`] for JSONL dumps and
 //! [`chrome_trace`] for Chrome `trace_event` files (Perfetto-loadable), with

@@ -20,12 +20,16 @@
 //!    flagged group ([`RadarProtection::recover`]).
 //!
 //! Detection streams through a [`VerifyPlan`] compiled at signing time: per layer, a
-//! flat slot-ordered member permutation, a group-offset table and a per-weight ±1
-//! key-mask vector ([`LayerPlan`]), so every run-time pass is one sequential sweep over
-//! the layer's weights in fetch order — no per-group gathers, no allocations.
-//! [`RadarProtection::verify_layer`] and [`RadarProtection::detect_layers`] expose the
-//! incremental, fetch-path granularity, and [`RadarProtection::detect_parallel`] /
-//! [`RadarProtection::verify_and_recover_parallel`] shard the sweep across scoped
+//! flat slot-ordered member permutation, a group-offset table and the ±1 key masks
+//! permuted into member order ([`LayerPlan`]), so every run-time pass walks the groups
+//! as fixed-width masked dot products — no per-pass member lists, no allocations. Two
+//! per-layer kernels run every check:
+//! [`RadarProtection::verify_layer_values_with_scratch`] verifies in-memory values
+//! (the scrubber, the recovery re-check, the key roll's pre-sign check) and
+//! [`RadarProtection::fetch_verify_layer_at_epoch_with_scratch`] copies a layer's
+//! DRAM bytes out while verifying them, at a pinned key epoch (the serving engine's
+//! snapshot build). [`RadarProtection::detect`] loops the same check over a whole
+//! model, and [`RadarProtection::detect_parallel`] shards that loop across scoped
 //! worker threads (contiguous, weight-balanced layer ranges; one accumulator scratch
 //! per worker) for multi-core hosts.
 //!

@@ -18,22 +18,23 @@ pub static VERIFY_SWEEPS: radar_obs::GlobalCounter = radar_obs::GlobalCounter::n
 pub const VERIFY_LANES: usize = 16;
 
 /// Precomputed verification plan for one layer: everything the run-time check needs to
-/// turn signature computation into a single sequential sweep over the layer's weights.
+/// turn signature computation into a single sweep over the layer's weights.
 ///
 /// The gather-based path recomputes the interleave mapping per weight and allocates a
 /// member list per group on every pass. A `LayerPlan` hoists all of that to signing
 /// time:
 ///
-/// * `group_index[i]` — the group weight `i` scatter-adds into,
-/// * `mask[i]` — the ±1 key mask of weight `i`'s slot, expanded from the 16-bit
-///   [`SecretKey`] so the hot loop never touches key bit arithmetic,
-/// * `members` / `group_offsets` — a flat slot-ordered member permutation in CSR form,
-///   so recovery can walk a group's original weight indices as a slice without
-///   allocating.
+/// * `members` / `group_offsets` — a flat slot-ordered member permutation in CSR form:
+///   group `g`'s original weight indices are one contiguous slice, which the sweep
+///   reads (or gathers through) and recovery walks without allocating,
+/// * `slot_mask` — the ±1 key mask of every member, expanded from the 16-bit
+///   [`SecretKey`] and permuted into `members` order, so each group's masks are one
+///   contiguous slice and the hot loop never touches key bit arithmetic.
 ///
-/// Detection then reads the weights in storage order — the same order the hardware's
-/// weight-fetch path streams them in — and accumulates `mask[i] * w[i]` into per-group
-/// `i32` accumulators: zero allocations after construction.
+/// Detection then walks the groups in order and computes each masked sum as a
+/// fixed-width dot product of the group's weights with its mask slice into per-group
+/// `i32` accumulators: zero allocations after construction, five bytes of plan per
+/// weight.
 ///
 /// # Example
 ///
@@ -50,10 +51,6 @@ pub const VERIFY_LANES: usize = 16;
 pub struct LayerPlan {
     layout: GroupLayout,
     key: SecretKey,
-    /// Group of each weight index, in storage order.
-    group_index: Vec<u32>,
-    /// ±1 key mask of each weight index (the key bit of the weight's slot).
-    mask: Vec<i8>,
     /// Original weight indices ordered by `(group, slot)`.
     members: Vec<u32>,
     /// CSR offsets into `members`: group `g` owns `members[offsets[g]..offsets[g + 1]]`.
@@ -71,18 +68,12 @@ impl LayerPlan {
     pub fn new(layout: GroupLayout, key: SecretKey) -> Self {
         let len = layout.len();
         let num_groups = layout.num_groups();
-        let mut group_index = Vec::with_capacity(len);
-        let mut mask = Vec::with_capacity(len);
-        for i in 0..len {
-            group_index.push(layout.group_of(i) as u32);
-            mask.push(key.mask(layout.slot_of(i)) as i8);
-        }
-
         // Counting sort of weight indices by group. Ascending weight index within a
         // group is ascending slot for both groupings (contiguous: slot = i % G;
         // interleaved: slot = i / num_groups), so each bucket comes out slot-ordered.
+        let groups: Vec<u32> = (0..len).map(|i| layout.group_of(i) as u32).collect();
         let mut group_offsets = vec![0u32; num_groups + 1];
-        for &g in &group_index {
+        for &g in &groups {
             group_offsets[g as usize + 1] += 1;
         }
         for g in 0..num_groups {
@@ -90,18 +81,19 @@ impl LayerPlan {
         }
         let mut members = vec![0u32; len];
         let mut cursor: Vec<u32> = group_offsets[..num_groups].to_vec();
-        for (i, &g) in group_index.iter().enumerate() {
+        for (i, &g) in groups.iter().enumerate() {
             members[cursor[g as usize] as usize] = i as u32;
             cursor[g as usize] += 1;
         }
-        let slot_mask: Vec<i8> = members.iter().map(|&i| mask[i as usize]).collect();
+        let slot_mask: Vec<i8> = members
+            .iter()
+            .map(|&i| key.mask(layout.slot_of(i as usize)) as i8)
+            .collect();
         let identity_members = members.iter().enumerate().all(|(j, &i)| i as usize == j);
 
         LayerPlan {
             layout,
             key,
-            group_index,
-            mask,
             members,
             group_offsets,
             slot_mask,
@@ -132,11 +124,6 @@ impl LayerPlan {
     /// Number of groups in the layer.
     pub fn num_groups(&self) -> usize {
         self.layout.num_groups()
-    }
-
-    /// The ±1 key-mask vector, one entry per weight in storage order.
-    pub fn mask(&self) -> &[i8] {
-        &self.mask
     }
 
     /// The original weight indices of `group`, in slot order, as a borrowed slice —
@@ -209,8 +196,8 @@ impl LayerPlan {
     /// over the bytes where the serving path previously paid a copy pass plus a
     /// verify pass. Like [`accumulate`](Self::accumulate) the sweep is group-major
     /// over the CSR slot-ordered permutation, so the inner loop stays the
-    /// fixed-width ([`VERIFY_LANES`]) i8×i8→i32 widening dot that autovectorizes;
-    /// there is no per-element scatter and no `group_index` metadata traffic.
+    /// fixed-width ([`VERIFY_LANES`]) i8×i8→i32 widening dot that autovectorizes,
+    /// with no per-element scatter.
     ///
     /// Contiguous groupings walk the groups in storage order, widening each lane
     /// block into `dst` and folding it into the group's dot product in the same
@@ -511,8 +498,13 @@ mod tests {
         let layout = GroupLayout::new(64, 8, Grouping::interleaved());
         let key = SecretKey::new(0xACE1);
         let plan = LayerPlan::new(layout, key);
-        for i in 0..layout.len() {
-            assert_eq!(i32::from(plan.mask()[i]), key.mask(layout.slot_of(i)));
+        assert_eq!(plan.slot_mask.len(), layout.len());
+        // Each group's mask slice holds the key mask of its members' slots, in order.
+        for g in 0..layout.num_groups() {
+            let start = plan.group_offsets[g] as usize;
+            for (&i, &m) in plan.group_members(g).iter().zip(&plan.slot_mask[start..]) {
+                assert_eq!(i32::from(m), key.mask(layout.slot_of(i as usize)));
+            }
         }
     }
 

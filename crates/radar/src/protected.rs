@@ -21,9 +21,9 @@ pub struct ProtectionStats {
 /// A quantized model with RADAR embedded in its inference path.
 ///
 /// Every call to [`forward`](Self::forward) first verifies the weights that inference is
-/// about to consume (the paper embeds the signature check in the weight-fetch stage) and
-/// zeroes out any flagged group before computing, exactly mirroring the run-time flow of
-/// Sections IV–V.
+/// about to consume and zeroes out any flagged group before computing, mirroring the
+/// run-time flow of Sections IV–V on an in-memory model. (The serving engine embeds
+/// the check in the weight fetch itself, one fused copy-and-verify sweep per layer.)
 ///
 /// # Example
 ///
@@ -45,21 +45,16 @@ pub struct ProtectedModel {
     model: QuantizedModel,
     protection: RadarProtection,
     stats: ProtectionStats,
-    /// Accumulator scratch sized for the widest layer, owned by the wrapper so the
-    /// per-inference verification path performs no heap allocations.
-    acc: Vec<i32>,
 }
 
 impl ProtectedModel {
     /// Signs `model` under `config` and wraps it.
     pub fn new(model: QuantizedModel, config: RadarConfig) -> Self {
         let protection = RadarProtection::new(&model, config);
-        let acc = vec![0i32; protection.plan().max_groups()];
         ProtectedModel {
             model,
             protection,
             stats: ProtectionStats::default(),
-            acc,
         }
     }
 
@@ -84,49 +79,17 @@ impl ProtectedModel {
         self.stats
     }
 
-    /// Runs one verification + recovery pass without inference.
-    ///
-    /// Layers are verified one at a time in fetch order through the precomputed
-    /// [`VerifyPlan`](crate::VerifyPlan) — the same incremental granularity the
-    /// hardware check has in the weight-fetch stage — and every flagged group is zeroed
-    /// before the next layer is examined.
+    /// Runs one verification + recovery pass without inference:
+    /// [`RadarProtection::detect_and_recover`] over the whole model, counted in
+    /// [`stats`](Self::stats).
     pub fn verify_and_recover(&mut self) -> (DetectionReport, RecoveryReport) {
-        let mut report = DetectionReport::default();
-        let mut recovery = RecoveryReport::default();
-        for layer in 0..self.model.num_layers() {
-            let layer_report = self.protection.detect_layers_with_scratch(
-                &self.model,
-                layer..layer + 1,
-                &mut self.acc,
-            );
-            let layer_recovery = self.protection.recover(&mut self.model, &layer_report);
-            report.merge(&layer_report);
-            recovery.groups_zeroed += layer_recovery.groups_zeroed;
-            recovery.weights_zeroed += layer_recovery.weights_zeroed;
-        }
+        let (report, recovery) = self.protection.detect_and_recover(&mut self.model);
         self.stats.verifications += 1;
         if report.attack_detected() {
             self.stats.attacks_detected += 1;
         }
         self.stats.groups_zeroed += recovery.groups_zeroed;
         self.stats.weights_zeroed += recovery.weights_zeroed;
-        (report, recovery)
-    }
-
-    /// Verifies (and recovers) exactly one layer — the unit of work the fetch path
-    /// performs right before inference consumes that layer's weights. Does not count as
-    /// a full verification pass in [`stats`](Self::stats).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of bounds.
-    pub fn verify_layer_and_recover(&mut self, layer: usize) -> (DetectionReport, RecoveryReport) {
-        let report = self.protection.detect_layers_with_scratch(
-            &self.model,
-            layer..layer + 1,
-            &mut self.acc,
-        );
-        let recovery = self.protection.recover(&mut self.model, &report);
         (report, recovery)
     }
 
@@ -193,17 +156,20 @@ mod tests {
     }
 
     #[test]
-    fn single_layer_verification_recovers_only_that_layer() {
+    fn one_pass_recovers_corruption_in_every_layer() {
         let mut p = protected();
         p.model_mut().flip_bit(0, 0, MSB);
         p.model_mut().flip_bit(2, 5, MSB);
-        let (report, recovery) = p.verify_layer_and_recover(2);
-        assert_eq!(report.num_flagged(), 1);
-        assert_eq!(recovery.groups_zeroed, 1);
+        let (report, recovery) = p.verify_and_recover();
+        assert_eq!(report.num_flagged(), 2);
+        assert!(report.flagged.iter().any(|f| f.layer == 0));
+        assert!(report.flagged.iter().any(|f| f.layer == 2));
+        assert_eq!(recovery.groups_zeroed, 2);
+        assert_eq!(p.stats().groups_zeroed, 2);
+        assert_eq!(p.stats().weights_zeroed, recovery.weights_zeroed);
+        assert_eq!(p.model().layer(0).weights().value(0), 0);
         assert_eq!(p.model().layer(2).weights().value(5), 0);
-        // Layer 0's corruption is untouched until its own fetch is verified.
-        let (report0, _) = p.verify_layer_and_recover(0);
-        assert_eq!(report0.num_flagged(), 1);
+        assert!(!p.verify_and_recover().0.attack_detected());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use radar_quant::QuantizedModel;
 use crate::config::RadarConfig;
 use crate::grouping::GroupLayout;
 use crate::key::{KeyEpoch, KeySchedule, SecretKey};
-use crate::plan::VerifyPlan;
+use crate::plan::{LayerPlan, VerifyPlan};
 use crate::signature::binarize;
 use crate::store::SignatureStore;
 
@@ -98,6 +98,28 @@ struct EpochState {
     golden: SignatureStore,
 }
 
+impl EpochState {
+    /// The plan of `layer`, after checking that the layer exists and still has the
+    /// `len` weights it was signed with; grows `acc` to the layer's group count.
+    fn checked_plan(&self, layer: usize, len: usize, acc: &mut Vec<i32>) -> &LayerPlan {
+        assert!(
+            layer < self.layers.len(),
+            "layer {layer} out of bounds for {} layers",
+            self.layers.len()
+        );
+        assert_eq!(
+            len,
+            self.layers[layer].layout.len(),
+            "layer {layer} size changed since signing"
+        );
+        let plan = self.plan.layer(layer);
+        if acc.len() < plan.num_groups() {
+            acc.resize(plan.num_groups(), 0);
+        }
+        plan
+    }
+}
+
 /// The next epoch while it is being signed layer-by-layer, before publication.
 #[derive(Debug, Clone, PartialEq)]
 struct PendingEpoch {
@@ -113,6 +135,14 @@ struct PendingEpoch {
 /// [`detect`](Self::detect) and [`recover`](Self::recover) are the run-time steps
 /// embedded in inference.
 ///
+/// Every check runs through one of two per-layer kernels:
+/// [`verify_layer_values_with_scratch`](Self::verify_layer_values_with_scratch)
+/// verifies in-memory `i8` values at the current epoch, and
+/// [`fetch_verify_layer_at_epoch_with_scratch`](Self::fetch_verify_layer_at_epoch_with_scratch)
+/// copies DRAM bytes out and verifies them in the same sweep at a pinned epoch.
+/// [`detect`](Self::detect) and [`detect_parallel`](Self::detect_parallel) loop the
+/// same per-layer check over a whole model.
+///
 /// # Key epochs
 ///
 /// Keys are not a static per-layer draw: a [`KeySchedule`] derives an independent
@@ -127,7 +157,8 @@ struct PendingEpoch {
 ///    epoch *first*, or corruption would be blessed into the new golden store;
 /// 3. [`publish_epoch`](Self::publish_epoch) makes the pending epoch current and
 ///    retains the old epoch as `previous`, so verification pinned to the old
-///    epoch ([`verify_layer_values_at_epoch`](Self::verify_layer_values_at_epoch))
+///    epoch
+///    ([`fetch_verify_layer_at_epoch_with_scratch`](Self::fetch_verify_layer_at_epoch_with_scratch))
 ///    keeps working during the hand-over;
 /// 4. [`retire_previous`](Self::retire_previous) drops the old epoch once no
 ///    in-flight work can still be pinned to it.
@@ -400,141 +431,161 @@ impl RadarProtection {
         self.current.golden.storage_kb()
     }
 
-    /// The signatures of every group of `layer` from its current weights, via the
-    /// streaming plan of the current epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of bounds or its size changed since signing.
-    pub fn layer_signatures(&self, model: &QuantizedModel, layer: usize) -> Vec<u8> {
-        self.current
-            .plan
-            .layer(layer)
-            .signatures(model.layer_values(layer), self.config.signature_bits)
-    }
-
     /// Runs the full detection pass: recomputes every group signature from the model's
-    /// current (possibly corrupted) weights and compares with the golden store.
-    ///
-    /// Equivalent to [`detect_layers`](Self::detect_layers) over all layers.
+    /// current (possibly corrupted) weights and compares with the golden store — one
+    /// [`VerifyPlan`] sweep per layer, one accumulator scratch for the whole pass.
     ///
     /// # Panics
     ///
     /// Panics if `model` does not have the same layer sizes as the model used at
     /// construction time.
     pub fn detect(&self, model: &QuantizedModel) -> DetectionReport {
-        self.detect_layers(model, 0..self.current.layers.len())
+        let values = self.model_values(model);
+        self.check_layers(&values, 0..values.len())
     }
 
-    /// Verifies only the `layers` range — the incremental fetch-path check: callers
-    /// embedded in the weight-fetch stage verify exactly the layers inference is about
-    /// to consume instead of rescanning the whole model per batch.
+    /// Sharded parallel detection: splits the layers into contiguous, weight-balanced
+    /// ranges and verifies them concurrently on `threads` scoped workers, each with its
+    /// own accumulator scratch over the shared [`VerifyPlan`].
     ///
-    /// Each layer is a single sequential sweep over its weights through the
-    /// [`VerifyPlan`]; one accumulator scratch is shared across the range, so the pass
-    /// performs a constant number of allocations regardless of group count.
+    /// Produces exactly the report [`detect`](Self::detect) would (same flag set, same
+    /// `(layer, group)` order): shards are disjoint layer ranges, so the per-shard
+    /// reports concatenate in order with no duplicates.
     ///
     /// # Panics
     ///
-    /// Panics if the range or the model's layer count/sizes disagree with the model
-    /// used at construction time.
-    pub fn detect_layers(&self, model: &QuantizedModel, layers: Range<usize>) -> DetectionReport {
-        let mut acc = Vec::new();
-        self.detect_layers_with_scratch(model, layers, &mut acc)
+    /// Panics if `threads` is zero or under the same model-mismatch conditions as
+    /// [`detect`](Self::detect).
+    pub fn detect_parallel(&self, model: &QuantizedModel, threads: usize) -> DetectionReport {
+        assert!(threads > 0, "thread count must be non-zero");
+        let values = self.model_values(model);
+        let ranges = self.shard_ranges(threads);
+        if ranges.len() <= 1 {
+            return self.check_layers(&values, 0..values.len());
+        }
+        let mut report = DetectionReport::default();
+        std::thread::scope(|scope| {
+            let shards: Vec<_> = ranges
+                .into_iter()
+                .map(|range| {
+                    let values = &values;
+                    scope.spawn(move || self.check_layers(values, range))
+                })
+                .collect();
+            for shard in shards {
+                report.merge(&shard.join().expect("detect shard worker panicked"));
+            }
+        });
+        report
     }
 
-    /// [`detect_layers`](Self::detect_layers) with a caller-owned accumulator scratch,
-    /// so repeated per-layer calls (one per fetched layer) reuse one buffer instead of
-    /// allocating per call. `acc` is grown to the largest group count in the range and
-    /// never shrunk; size it with [`VerifyPlan::max_groups`] to cover every layer up
-    /// front.
+    /// Verifies one layer's raw weight values against the current epoch — bytes that
+    /// are still in a DRAM image (or any other store) rather than fetched into a
+    /// [`QuantizedModel`]. The background scrubber, the recovery re-check and the key
+    /// roll's pre-sign check all verify this way: no model instance is needed at all.
+    ///
+    /// `acc` is a caller-owned accumulator scratch, grown to the layer's group count
+    /// and never shrunk, so a caller sweeping many layers reuses one buffer (size it
+    /// with [`VerifyPlan::max_groups`] to cover every layer up front).
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`detect_layers`](Self::detect_layers).
-    pub fn detect_layers_with_scratch(
+    /// Panics if `layer` is out of bounds or `values` does not have the layer's signed
+    /// size.
+    pub fn verify_layer_values_with_scratch(
         &self,
-        model: &QuantizedModel,
-        layers: Range<usize>,
+        layer: usize,
+        values: &[i8],
         acc: &mut Vec<i32>,
     ) -> DetectionReport {
+        let mut report = DetectionReport::default();
+        Self::check_layer(&self.current, layer, values, acc, &mut report);
+        report
+    }
+
+    /// Fused fetch-and-verify of one layer under a *pinned* epoch: copies the
+    /// layer's raw DRAM bytes into `dst` (reinterpreted as `i8`, exactly as the
+    /// weight-fetch path does) while accumulating and checking the group
+    /// signatures in the same sweep. This is the snapshot build path's kernel: a
+    /// builder pins the epoch it saw when its fetch ticket came up, and a rotation
+    /// publish landing between pin and verify must not strand it (the pinned epoch
+    /// is then `previous` and still accepted).
+    ///
+    /// An `epoch` that is no longer retained falls back to the current state (see
+    /// [`accepts_epoch`](Self::accepts_epoch)) — fail-closed, never skip. `acc` is
+    /// grown as in [`verify_layer_values_with_scratch`](Self::verify_layer_values_with_scratch).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` is out of bounds or `src.len()` differs from the layer's
+    /// signed size.
+    pub fn fetch_verify_layer_at_epoch_with_scratch(
+        &self,
+        epoch: KeyEpoch,
+        layer: usize,
+        src: &[u8],
+        dst: &mut Vec<i8>,
+        acc: &mut Vec<i32>,
+    ) -> DetectionReport {
+        let mut report = DetectionReport::default();
+        Self::check_layer_fused(self.epoch_state(epoch), layer, src, dst, acc, &mut report);
+        report
+    }
+
+    /// Borrows every layer's raw values after checking `model` has the signed layer
+    /// count. Plain `&[i8]` slices are freely shared across scoped workers without
+    /// requiring anything of the model's float-side internals.
+    fn model_values<'m>(&self, model: &'m QuantizedModel) -> Vec<&'m [i8]> {
         assert_eq!(
             model.num_layers(),
             self.current.layers.len(),
             "model layer count changed since signing"
         );
-        assert!(
-            layers.end <= self.current.layers.len(),
-            "layer range {layers:?} out of bounds for {} layers",
-            self.current.layers.len()
-        );
-        let max_groups = self
-            .current
-            .plan
-            .layers()
-            .get(layers.clone())
-            .map_or(0, |plans| {
-                plans
-                    .iter()
-                    .map(super::plan::LayerPlan::num_groups)
-                    .max()
-                    .unwrap_or(0)
-            });
-        if acc.len() < max_groups {
-            acc.resize(max_groups, 0);
-        }
+        (0..model.num_layers())
+            .map(|i| model.layer_values(i))
+            .collect()
+    }
+
+    /// Checks `layers` of `values` against the current epoch with one accumulator
+    /// scratch — the loop behind [`detect`](Self::detect) and each
+    /// [`detect_parallel`](Self::detect_parallel) shard.
+    fn check_layers(&self, values: &[&[i8]], layers: Range<usize>) -> DetectionReport {
+        let mut acc = Vec::new();
         let mut report = DetectionReport::default();
-        for layer_idx in layers {
-            Self::check_layer(
-                &self.current,
-                layer_idx,
-                model.layer_values(layer_idx),
-                acc,
-                &mut report,
-            );
+        for layer in layers {
+            Self::check_layer(&self.current, layer, values[layer], &mut acc, &mut report);
         }
         report
     }
 
-    /// Verifies one layer's signatures from its raw weight values against one epoch's
-    /// plan and store, appending mismatches to `report` — the shared core of the
-    /// sequential, sharded-parallel and epoch-pinned detects.
+    /// Verifies one layer's raw weight values against one epoch's plan and store,
+    /// appending mismatches to `report` — the in-memory half of the verify core.
     fn check_layer(
         state: &EpochState,
         layer_idx: usize,
         values: &[i8],
-        acc: &mut [i32],
+        acc: &mut Vec<i32>,
         report: &mut DetectionReport,
     ) {
-        assert_eq!(
-            values.len(),
-            state.layers[layer_idx].layout.len(),
-            "layer {layer_idx} size changed since signing"
-        );
-        let layer_plan = state.plan.layer(layer_idx);
+        let layer_plan = state.checked_plan(layer_idx, values.len(), acc);
         layer_plan.accumulate(values, acc);
         Self::compare_signatures(state, layer_idx, &acc[..layer_plan.num_groups()], report);
     }
 
     /// Fused fetch-and-verify of one layer from its raw DRAM bytes: copies the bytes
     /// into `dst` *while* accumulating the masked group sums in one sweep
-    /// ([`LayerPlan::copy_accumulate`](super::plan::LayerPlan::copy_accumulate)),
-    /// then compares the binarized signatures against `state`'s golden store — the
-    /// snapshot build path's one pass per layer per batch.
+    /// ([`LayerPlan::copy_accumulate`]), then compares the binarized signatures
+    /// against `state`'s golden store — the snapshot build path's one pass per layer
+    /// per batch.
     fn check_layer_fused(
         state: &EpochState,
         layer_idx: usize,
         src: &[u8],
         dst: &mut Vec<i8>,
-        acc: &mut [i32],
+        acc: &mut Vec<i32>,
         report: &mut DetectionReport,
     ) {
-        assert_eq!(
-            src.len(),
-            state.layers[layer_idx].layout.len(),
-            "layer {layer_idx} size changed since signing"
-        );
-        let layer_plan = state.plan.layer(layer_idx);
+        let layer_plan = state.checked_plan(layer_idx, src.len(), acc);
         layer_plan.copy_accumulate(src, dst, acc);
         Self::compare_signatures(state, layer_idx, &acc[..layer_plan.num_groups()], report);
     }
@@ -577,13 +628,7 @@ impl RadarProtection {
     /// Splits the planned layers into at most `shards` contiguous ranges of roughly
     /// equal total weight count (the unit of detect work is one weight).
     fn shard_ranges(&self, shards: usize) -> Vec<Range<usize>> {
-        let total: usize = self
-            .current
-            .plan
-            .layers()
-            .iter()
-            .map(super::plan::LayerPlan::len)
-            .sum();
+        let total: usize = self.current.plan.layers().iter().map(LayerPlan::len).sum();
         let num_layers = self.current.layers.len();
         let shards = shards.clamp(1, num_layers.max(1));
         let target = total.div_ceil(shards).max(1);
@@ -607,205 +652,6 @@ impl RadarProtection {
             ranges.push(start..num_layers);
         }
         ranges
-    }
-
-    /// Sharded parallel detection: splits the layers into contiguous, weight-balanced
-    /// ranges and verifies them concurrently on `threads` scoped workers, each with its
-    /// own accumulator scratch over the shared [`VerifyPlan`].
-    ///
-    /// Produces exactly the report [`detect`](Self::detect) would (same flag set, same
-    /// `(layer, group)` order): shards are disjoint layer ranges, so the per-shard
-    /// reports concatenate in order with no duplicates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero or under the same model-mismatch conditions as
-    /// [`detect`](Self::detect).
-    pub fn detect_parallel(&self, model: &QuantizedModel, threads: usize) -> DetectionReport {
-        assert!(threads > 0, "thread count must be non-zero");
-        assert_eq!(
-            model.num_layers(),
-            self.current.layers.len(),
-            "model layer count changed since signing"
-        );
-        let ranges = self.shard_ranges(threads);
-        if ranges.len() <= 1 {
-            return self.detect(model);
-        }
-        // Borrow every layer's raw values up front: plain `&[i8]` slices are freely
-        // shared across the scoped workers without requiring anything of the model's
-        // float-side internals.
-        let values: Vec<&[i8]> = (0..self.current.layers.len())
-            .map(|i| model.layer_values(i))
-            .collect();
-        let mut shard_reports: Vec<DetectionReport> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|range| {
-                    let values = &values;
-                    scope.spawn(move || {
-                        let mut acc = Vec::new();
-                        let mut report = DetectionReport::default();
-                        for layer_idx in range {
-                            let layer_plan = self.current.plan.layer(layer_idx);
-                            if acc.len() < layer_plan.num_groups() {
-                                acc.resize(layer_plan.num_groups(), 0);
-                            }
-                            Self::check_layer(
-                                &self.current,
-                                layer_idx,
-                                values[layer_idx],
-                                &mut acc,
-                                &mut report,
-                            );
-                        }
-                        report
-                    })
-                })
-                .collect();
-            shard_reports = handles
-                .into_iter()
-                .map(|h| h.join().expect("detect shard worker panicked"))
-                .collect();
-        });
-        let mut report = DetectionReport::default();
-        for shard in &shard_reports {
-            report.merge(shard);
-        }
-        report
-    }
-
-    /// Verifies a single layer — the per-fetch granularity of
-    /// [`detect_layers`](Self::detect_layers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of bounds or the model disagrees with the model used at
-    /// construction time.
-    pub fn verify_layer(&self, model: &QuantizedModel, layer: usize) -> DetectionReport {
-        self.detect_layers(model, layer..layer + 1)
-    }
-
-    /// Verifies one layer's signatures straight from raw weight values — bytes that are
-    /// still in a DRAM image (or any other store) rather than already fetched into a
-    /// [`QuantizedModel`]. This is what a background scrubber sweeping main memory
-    /// between inference batches uses: no model instance is needed at all.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of bounds or `values` does not have the layer's signed
-    /// size.
-    pub fn verify_layer_values(&self, layer: usize, values: &[i8]) -> DetectionReport {
-        let mut acc = Vec::new();
-        self.verify_layer_values_with_scratch(layer, values, &mut acc)
-    }
-
-    /// [`verify_layer_values`](Self::verify_layer_values) with a caller-owned
-    /// accumulator scratch, so a scrubber sweeping many layers reuses one buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`verify_layer_values`](Self::verify_layer_values).
-    pub fn verify_layer_values_with_scratch(
-        &self,
-        layer: usize,
-        values: &[i8],
-        acc: &mut Vec<i32>,
-    ) -> DetectionReport {
-        self.verify_layer_values_at_epoch_with_scratch(self.current.epoch, layer, values, acc)
-    }
-
-    /// Verifies one layer's raw values under the keys and golden store of a *pinned*
-    /// epoch — the serving path's epoch-aware check: a worker pins the epoch it saw
-    /// when its fetch ticket came up, and a rotation publish landing between pin and
-    /// verify must not strand it (the pinned epoch is then `previous` and still
-    /// accepted).
-    ///
-    /// An `epoch` that is no longer retained falls back to the current state (see
-    /// [`accepts_epoch`](Self::accepts_epoch)) — fail-closed, never skip.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`verify_layer_values`](Self::verify_layer_values).
-    pub fn verify_layer_values_at_epoch(
-        &self,
-        epoch: KeyEpoch,
-        layer: usize,
-        values: &[i8],
-    ) -> DetectionReport {
-        let mut acc = Vec::new();
-        self.verify_layer_values_at_epoch_with_scratch(epoch, layer, values, &mut acc)
-    }
-
-    /// [`verify_layer_values_at_epoch`](Self::verify_layer_values_at_epoch) with a
-    /// caller-owned accumulator scratch — allocation-free after warm-up, like every
-    /// other fetch-path check.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`verify_layer_values`](Self::verify_layer_values).
-    pub fn verify_layer_values_at_epoch_with_scratch(
-        &self,
-        epoch: KeyEpoch,
-        layer: usize,
-        values: &[i8],
-        acc: &mut Vec<i32>,
-    ) -> DetectionReport {
-        let state = self.epoch_state(epoch);
-        assert!(
-            layer < state.layers.len(),
-            "layer {layer} out of bounds for {} layers",
-            state.layers.len()
-        );
-        let groups = state.plan.layer(layer).num_groups();
-        if acc.len() < groups {
-            acc.resize(groups, 0);
-        }
-        let mut report = DetectionReport::default();
-        Self::check_layer(state, layer, values, acc, &mut report);
-        report
-    }
-
-    /// Fused fetch-and-verify of one layer under a *pinned* epoch: copies the
-    /// layer's raw DRAM bytes into `dst` (reinterpreted as `i8`, exactly as the
-    /// weight-fetch path does) while accumulating and checking the group
-    /// signatures in the same sweep. This is the snapshot build path's kernel:
-    /// where a copy followed by
-    /// [`verify_layer_values_at_epoch_with_scratch`](Self::verify_layer_values_at_epoch_with_scratch)
-    /// pays two passes, the build pays one.
-    ///
-    /// Epoch resolution matches the unfused check: an `epoch` no longer retained
-    /// falls back to the current state — fail-closed, never skip.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of bounds or `src.len()` differs from the layer's
-    /// planned length.
-    pub fn fetch_verify_layer_at_epoch_with_scratch(
-        &self,
-        epoch: KeyEpoch,
-        layer: usize,
-        src: &[u8],
-        dst: &mut Vec<i8>,
-        acc: &mut Vec<i32>,
-    ) -> DetectionReport {
-        let state = self.epoch_state(epoch);
-        assert!(
-            layer < state.layers.len(),
-            "layer {layer} out of bounds for {} layers",
-            state.layers.len()
-        );
-        let groups = state.plan.layer(layer).num_groups();
-        if acc.len() < groups {
-            acc.resize(groups, 0);
-        }
-        let mut report = DetectionReport::default();
-        Self::check_layer_fused(state, layer, src, dst, acc, &mut report);
-        report
     }
 
     /// The group a given weight belongs to under this protection's layout.
@@ -915,23 +761,6 @@ impl RadarProtection {
         let recovery = self.recover(model, &report);
         (report, recovery)
     }
-
-    /// [`detect_and_recover`](Self::detect_and_recover) with the verification pass
-    /// sharded across `threads` workers via [`detect_parallel`](Self::detect_parallel);
-    /// recovery itself mutates the model and stays sequential.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`detect_parallel`](Self::detect_parallel).
-    pub fn verify_and_recover_parallel(
-        &mut self,
-        model: &mut QuantizedModel,
-        threads: usize,
-    ) -> (DetectionReport, RecoveryReport) {
-        let report = self.detect_parallel(model, threads);
-        let recovery = self.recover(model, &report);
-        (report, recovery)
-    }
 }
 
 #[cfg(test)]
@@ -942,6 +771,45 @@ mod tests {
 
     fn model() -> QuantizedModel {
         QuantizedModel::new(Box::new(resnet20(&ResNetConfig::tiny(4))))
+    }
+
+    /// `values` as the raw DRAM bytes the fused kernel reads.
+    fn as_bytes(values: &[i8]) -> Vec<u8> {
+        values.iter().map(|&v| v as u8).collect()
+    }
+
+    /// Verifies `values` of `layer` pinned to `epoch` through the fused kernel.
+    fn verify_at(
+        radar: &RadarProtection,
+        epoch: KeyEpoch,
+        layer: usize,
+        values: &[i8],
+    ) -> DetectionReport {
+        radar.fetch_verify_layer_at_epoch_with_scratch(
+            epoch,
+            layer,
+            &as_bytes(values),
+            &mut Vec::new(),
+            &mut Vec::new(),
+        )
+    }
+
+    /// Verifies `layers` of `m` one at a time through the value kernel and merges the
+    /// per-layer reports.
+    fn verify_range(
+        radar: &RadarProtection,
+        m: &QuantizedModel,
+        layers: Range<usize>,
+    ) -> DetectionReport {
+        let (mut report, mut acc) = (DetectionReport::default(), Vec::new());
+        for layer in layers {
+            report.merge(&radar.verify_layer_values_with_scratch(
+                layer,
+                m.layer_values(layer),
+                &mut acc,
+            ));
+        }
+        report
     }
 
     /// Drives a full key roll from the model's current weights — the offline
@@ -1075,13 +943,9 @@ mod tests {
         m.flip_bit(2, 5, MSB);
         m.flip_bit(7, 0, MSB);
         let full = radar.detect(&m);
-        let mut merged = DetectionReport::default();
-        for layer in 0..m.num_layers() {
-            merged.merge(&radar.verify_layer(&m, layer));
-        }
-        assert_eq!(full, merged);
-        // The range form verifies exactly the requested layers.
-        let early = radar.detect_layers(&m, 0..3);
+        assert_eq!(full, verify_range(&radar, &m, 0..m.num_layers()));
+        // A range verifies exactly the requested layers.
+        let early = verify_range(&radar, &m, 0..3);
         assert!(early.contains(2, radar.group_of(2, 5)));
         assert!(early.flagged.iter().all(|f| f.layer < 3));
     }
@@ -1090,8 +954,12 @@ mod tests {
     fn streaming_layer_signatures_match_golden_on_clean_model() {
         let m = model();
         let radar = RadarProtection::new(&m, RadarConfig::paper_default(16));
+        let bits = radar.config().signature_bits;
         for layer in 0..m.num_layers() {
-            let sigs = radar.layer_signatures(&m, layer);
+            let sigs = radar
+                .plan()
+                .layer(layer)
+                .signatures(m.layer_values(layer), bits);
             for (g, &sig) in sigs.iter().enumerate() {
                 assert_eq!(sig, radar.golden().signature(layer, g));
             }
@@ -1099,20 +967,25 @@ mod tests {
     }
 
     #[test]
-    fn verify_layer_values_matches_model_based_verification() {
+    fn value_and_fused_kernels_agree_layer_by_layer() {
         let mut m = model();
         let radar = RadarProtection::new(&m, RadarConfig::paper_default(32));
         m.flip_bit(2, 5, MSB);
-        let mut acc = Vec::new();
+        let (mut acc, mut dst) = (Vec::new(), Vec::new());
         for layer in 0..m.num_layers() {
-            let from_values =
-                radar.verify_layer_values_with_scratch(layer, m.layer_values(layer), &mut acc);
-            assert_eq!(from_values, radar.verify_layer(&m, layer));
-            assert_eq!(
-                from_values,
-                radar.verify_layer_values(layer, m.layer_values(layer))
+            let values = m.layer_values(layer);
+            let from_values = radar.verify_layer_values_with_scratch(layer, values, &mut acc);
+            let fused = radar.fetch_verify_layer_at_epoch_with_scratch(
+                radar.current_epoch(),
+                layer,
+                &as_bytes(values),
+                &mut dst,
+                &mut acc,
             );
+            assert_eq!(from_values, fused, "layer {layer}");
+            assert_eq!(dst, values, "the fused kernel copies the exact bytes");
         }
+        assert!(verify_range(&radar, &m, 2..3).attack_detected());
     }
 
     #[test]
@@ -1136,7 +1009,9 @@ mod tests {
         assert_eq!(store[5], 0);
         // The golden store accepted the zeroed group: verifying the external bytes
         // (after zeroing) is clean even though the model itself was never touched.
-        assert!(!radar.verify_layer_values(2, &store).attack_detected());
+        assert!(!radar
+            .verify_layer_values_with_scratch(2, &store, &mut Vec::new())
+            .attack_detected());
     }
 
     #[test]
@@ -1144,7 +1019,21 @@ mod tests {
     fn verify_layer_values_rejects_wrong_length() {
         let m = model();
         let radar = RadarProtection::new(&m, RadarConfig::paper_default(32));
-        radar.verify_layer_values(0, &[0i8; 3]);
+        radar.verify_layer_values_with_scratch(0, &[0i8; 3], &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "size changed since signing")]
+    fn fetch_verify_rejects_wrong_length() {
+        let m = model();
+        let radar = RadarProtection::new(&m, RadarConfig::paper_default(32));
+        radar.fetch_verify_layer_at_epoch_with_scratch(
+            radar.current_epoch(),
+            0,
+            &[0u8; 3],
+            &mut Vec::new(),
+            &mut Vec::new(),
+        );
     }
 
     #[test]
@@ -1215,9 +1104,9 @@ mod tests {
         let mut radar = RadarProtection::new(&m, RadarConfig::paper_default(16));
         m.flip_bit(2, 5, MSB);
         // Overlapping range checks both flag layer 2's group; the merge deduplicates.
-        let mut merged = radar.detect_layers(&m, 0..4);
-        merged.merge(&radar.detect_layers(&m, 2..6));
-        merged.merge(&radar.verify_layer(&m, 2));
+        let mut merged = verify_range(&radar, &m, 0..4);
+        merged.merge(&verify_range(&radar, &m, 2..6));
+        merged.merge(&verify_range(&radar, &m, 2..3));
         assert_eq!(merged, radar.detect(&m));
         let reference_members = radar
             .plan()
@@ -1248,7 +1137,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_verify_and_recover_matches_sequential_pipeline() {
+    fn parallel_detect_then_recover_matches_detect_and_recover() {
         let mut a = model();
         let mut b = model();
         let mut radar_a = RadarProtection::new(&a, RadarConfig::paper_default(16));
@@ -1258,7 +1147,8 @@ mod tests {
             b.flip_bit(layer, weight, MSB);
         }
         let (report_a, recovery_a) = radar_a.detect_and_recover(&mut a);
-        let (report_b, recovery_b) = radar_b.verify_and_recover_parallel(&mut b, 4);
+        let report_b = radar_b.detect_parallel(&b, 4);
+        let recovery_b = radar_b.recover(&mut b, &report_b);
         assert_eq!(report_a, report_b);
         assert_eq!(recovery_a, recovery_b);
         assert_eq!(a.snapshot(), b.snapshot());
@@ -1297,11 +1187,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of bounds")]
-    fn detect_layers_rejects_out_of_range() {
+    fn verify_layer_values_rejects_an_out_of_range_layer() {
         let m = model();
         let radar = RadarProtection::new(&m, RadarConfig::paper_default(32));
-        let n = m.num_layers();
-        radar.detect_layers(&m, 0..n + 1);
+        radar.verify_layer_values_with_scratch(m.num_layers(), &[], &mut Vec::new());
     }
 
     #[test]
@@ -1333,8 +1222,7 @@ mod tests {
         // after the previous epoch is retired.
         assert!(!radar.detect(&m).attack_detected());
         for layer in 0..m.num_layers() {
-            let pinned =
-                radar.verify_layer_values_at_epoch(KeyEpoch::ZERO, layer, m.layer_values(layer));
+            let pinned = verify_at(&radar, KeyEpoch::ZERO, layer, m.layer_values(layer));
             assert!(!pinned.attack_detected(), "layer {layer} under epoch 0");
         }
         assert_eq!(radar.retire_previous(), Some(KeyEpoch::ZERO));
@@ -1362,8 +1250,8 @@ mod tests {
 
         m.flip_bit(2, 5, MSB);
         let group = radar.group_of(2, 5);
-        let current = radar.verify_layer_values_at_epoch(KeyEpoch::new(1), 2, m.layer_values(2));
-        let previous = radar.verify_layer_values_at_epoch(KeyEpoch::ZERO, 2, m.layer_values(2));
+        let current = verify_at(&radar, KeyEpoch::new(1), 2, m.layer_values(2));
+        let previous = verify_at(&radar, KeyEpoch::ZERO, 2, m.layer_values(2));
         // An MSB flip moves the masked sum by ±128: S_B flips under *any* key,
         // so both epochs' verifiers must catch it during the acceptance window.
         assert!(current.contains(2, group), "missed under current epoch");
@@ -1378,7 +1266,7 @@ mod tests {
         assert!(!radar.accepts_epoch(KeyEpoch::new(7)));
         m.flip_bit(2, 5, MSB);
         // Pinning a never-published epoch must not skip verification.
-        let report = radar.verify_layer_values_at_epoch(KeyEpoch::new(7), 2, m.layer_values(2));
+        let report = verify_at(&radar, KeyEpoch::new(7), 2, m.layer_values(2));
         assert!(report.attack_detected());
     }
 
@@ -1403,7 +1291,7 @@ mod tests {
         // The pending store was refreshed during recovery, so the published
         // epoch accepts the recovered image — and so does the previous one.
         assert!(!radar.detect(&m).attack_detected());
-        let previous = radar.verify_layer_values_at_epoch(KeyEpoch::ZERO, 2, m.layer_values(2));
+        let previous = verify_at(&radar, KeyEpoch::ZERO, 2, m.layer_values(2));
         assert!(!previous.attack_detected());
     }
 

@@ -77,8 +77,7 @@ pub fn group_signature(weights: &[i8], key: &SecretKey, bits: SignatureBits) -> 
 /// This is the naive reference path: it re-derives the layout mapping and allocates a
 /// member list per group on every call. The streaming
 /// [`LayerPlan`](crate::LayerPlan) is the production detect path; this function is the
-/// single-sourced baseline the plan is proven equivalent to (property tests) and
-/// benchmarked against.
+/// single-sourced test oracle the plan is proven equivalent to (property tests).
 ///
 /// # Panics
 ///

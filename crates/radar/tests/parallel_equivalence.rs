@@ -4,8 +4,10 @@
 //! sizes, thread counts and corruption patterns, and recovery driven by a merged
 //! report of overlapping range checks must zero each flagged group exactly once.
 
+use std::ops::Range;
+
 use proptest::prelude::*;
-use radar_core::{RadarConfig, RadarProtection};
+use radar_core::{DetectionReport, RadarConfig, RadarProtection};
 use radar_nn::{Linear, Sequential};
 use radar_quant::{QuantizedModel, MSB};
 use rand::rngs::StdRng;
@@ -21,6 +23,24 @@ fn model_with_layer_sizes(sizes: &[usize], seed: u64) -> QuantizedModel {
         seq.push(Linear::new(&mut rng, size, 1));
     }
     QuantizedModel::new(Box::new(seq))
+}
+
+/// Verifies `layers` of `model` one at a time through the per-layer kernel and
+/// merges the reports — a layer-range check.
+fn verify_range(
+    radar: &RadarProtection,
+    model: &QuantizedModel,
+    layers: Range<usize>,
+) -> DetectionReport {
+    let (mut report, mut acc) = (DetectionReport::default(), Vec::new());
+    for layer in layers {
+        report.merge(&radar.verify_layer_values_with_scratch(
+            layer,
+            model.layer_values(layer),
+            &mut acc,
+        ));
+    }
+    report
 }
 
 fn config_from(g: usize, interleave: bool, masking: bool, three_bit: bool) -> RadarConfig {
@@ -99,8 +119,8 @@ proptest! {
         // the boundary layers, plus a full-pass merge on top for maximal duplication.
         let n = sizes.len();
         let mid = split.min(n - 1);
-        let mut merged = radar.detect_layers(&model, 0..(mid + 1).min(n));
-        merged.merge(&radar.detect_layers(&model, mid.saturating_sub(1)..n));
+        let mut merged = verify_range(&radar, &model, 0..(mid + 1).min(n));
+        merged.merge(&verify_range(&radar, &model, mid.saturating_sub(1)..n));
         merged.merge(&radar.detect(&model));
         let (full, expected_recovery) = radar_twin.detect_and_recover(&mut twin);
         prop_assert_eq!(&merged, &full, "merged overlapping ranges diverge from full detect");

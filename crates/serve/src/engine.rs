@@ -28,15 +28,16 @@ use crate::traffic::{Batch, Request, TrafficSchedule};
 ///   clock (the dispatched-batch count) that the adversary and scrubber key off;
 /// * `workers` **inference workers**, each owning one model replica in `models`.
 ///   The batch's ticket holder runs *one* fused fetch-and-verify pass — each
-///   layer's bytes are copied out of the shared [`WeightDram`] while the ±1 mask
-///   scatter-adds into the signature accumulators (when `inpath_verify` is on) —
-///   recovers flagged groups in the image and in the snapshot before anyone reads
-///   it, and publishes the result as an epoch- and batch-stamped
-///   `Arc<VerifiedSnapshot>`. Inference runs `forward_with_values` straight off the
-///   shared `&[i8]` slices, with no worker-side mutation;
+///   layer's bytes are copied out of the shared [`WeightDram`] while the masked
+///   group sums accumulate (when `inpath_verify` is on) — recovers flagged groups
+///   in the image and in the snapshot before anyone reads it, and publishes the
+///   result as an epoch- and batch-stamped `Arc<VerifiedSnapshot>`. Inference runs
+///   `forward_with_values` straight off the shared `&[i8]` slices, with no
+///   worker-side mutation;
 /// * a background **scrubber** sweeping `scrub_layers` layers of the DRAM image every
-///   `scrub_every` batches through [`RadarProtection::verify_layer_values`], merging
-///   its findings into the shared recovery path;
+///   `scrub_every` batches through
+///   [`RadarProtection::verify_layer_values_with_scratch`], merging its findings
+///   into the shared recovery path;
 /// * a background **re-keying task** (when [`rotate_every`](ServeConfig::rotate_every)
 ///   is set) performing one rotation action every `rotate_every` batches — begin a
 ///   roll, re-sign one layer under the next [`KeyEpoch`], publish, retire the
@@ -46,7 +47,7 @@ use crate::traffic::{Batch, Request, TrafficSchedule};
 /// * an **adversary** mounting `timeline`'s rowhammer strikes at their scripted batch
 ///   offsets.
 ///
-/// Weight fetches are ticketed in batch order through a [`FetchTicket`] (batch
+/// Weight fetches are ticketed in batch order through a `FetchTicket` (batch
 /// `b + 1` cannot fetch before batch `b` has fetched and recovered), and the
 /// adversary/scrubber only run at a fetch barrier; inference itself overlaps freely.
 /// Consequently every logical outcome — which batches served corrupted weights, the
@@ -58,7 +59,7 @@ use crate::traffic::{Batch, Request, TrafficSchedule};
 /// Wall-clock latency telemetry is genuinely measured, and only it varies between
 /// replays. The deterministic schedule model-checker in [`crate::schedule`]
 /// exhaustively verifies this protocol for small configurations, and a watchdog in
-/// [`crate::sync`] turns any ticket/barrier stall into a loud panic with the stuck
+/// the `sync` module turns any ticket/barrier stall into a loud panic with the stuck
 /// ticket state instead of a hung job.
 ///
 /// # Observability
@@ -330,8 +331,8 @@ pub fn serve(
                         shard.force_add(metric::SNAPSHOT_RECLAIMS, worker_labels.clone(), 1);
                     }
                     // One fused pass per batch: bytes copied out of DRAM while the
-                    // mask scatter-adds into the signature accumulators (a plain
-                    // copy when in-path verification is off).
+                    // masked group sums accumulate (a plain copy when in-path
+                    // verification is off).
                     let timer = shard.span_start();
                     let mut checking = Duration::ZERO;
                     let flagged = {

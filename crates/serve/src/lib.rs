@@ -24,7 +24,7 @@
 //!                adversary / scrubber (strike / sweep between batches)
 //! ```
 //!
-//! [`serve`](engine::serve) wires the components: a bounded request queue feeds a
+//! [`serve`] wires the components: a bounded request queue feeds a
 //! batcher that coalesces up to `max_batch` requests (waiting at most `max_wait`);
 //! for every batch the ticket-holding worker copies the weights out of the shared
 //! [`WeightDram`](radar_memsim::WeightDram) in one fused fetch-and-verify pass,

@@ -79,32 +79,34 @@ mod tests {
         (model, radar, dram)
     }
 
+    /// Reads `layer` out of `dram` and verifies it at the current epoch.
+    fn verify_stored(radar: &RadarProtection, dram: &WeightDram, layer: usize) -> DetectionReport {
+        let mut buf = Vec::new();
+        dram.read_layer_into(layer, &mut buf);
+        radar.verify_layer_values_with_scratch(layer, &buf, &mut Vec::new())
+    }
+
     #[test]
     fn recovers_corruption_in_the_image_and_resigns() {
         let (mut model, mut radar, mut dram) = setup();
         let offset = dram.offset_of(2, 5);
         dram.flip_bit(offset, MSB);
-        let mut buf = Vec::new();
-        dram.read_layer_into(2, &mut buf);
-        let report = radar.verify_layer_values(2, &buf);
+        let report = verify_stored(&radar, &dram, 2);
         assert!(report.attack_detected());
 
         let recovery = recover_in_dram(&mut radar, &mut dram, &report);
         assert_eq!(recovery.groups_zeroed, 1);
         assert_eq!(dram.read(offset), 0);
-        // Subsequent verified fetches are clean.
-        assert!(!dram
-            .fetch_into_verified(&mut model, &radar)
-            .attack_detected());
+        // Subsequent fetches are clean.
+        dram.fetch_into(&mut model);
+        assert!(!radar.detect(&model).attack_detected());
     }
 
     #[test]
     fn second_recovery_of_the_same_report_is_a_no_op() {
         let (_, mut radar, mut dram) = setup();
         dram.flip_bit(dram.offset_of(2, 5), MSB);
-        let mut buf = Vec::new();
-        dram.read_layer_into(2, &mut buf);
-        let report = radar.verify_layer_values(2, &buf);
+        let report = verify_stored(&radar, &dram, 2);
 
         let first = recover_in_dram(&mut radar, &mut dram, &report);
         assert_eq!(first.groups_zeroed, 1);
@@ -127,9 +129,7 @@ mod tests {
     fn recheck_sweeps_up_flips_landed_after_the_report() {
         let (_, mut radar, mut dram) = setup();
         dram.flip_bit(dram.offset_of(2, 5), MSB);
-        let mut buf = Vec::new();
-        dram.read_layer_into(2, &mut buf);
-        let report = radar.verify_layer_values(2, &buf);
+        let report = verify_stored(&radar, &dram, 2);
         assert_eq!(report.num_flagged(), 1);
         // A second flip lands in the same layer after the report was taken.
         dram.flip_bit(dram.offset_of(2, 80), MSB);
@@ -137,7 +137,6 @@ mod tests {
         assert!(recovery.groups_zeroed >= 1);
         assert_eq!(dram.read(dram.offset_of(2, 5)), 0);
         assert_eq!(dram.read(dram.offset_of(2, 80)), 0);
-        dram.read_layer_into(2, &mut buf);
-        assert!(!radar.verify_layer_values(2, &buf).attack_detected());
+        assert!(!verify_stored(&radar, &dram, 2).attack_detected());
     }
 }

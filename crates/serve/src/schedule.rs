@@ -18,8 +18,8 @@
 //!   (asserted for the full barrier protocol, where it must hold);
 //! * **no corrupted traffic served** under in-path verification with barriers.
 //!
-//! The checker runs the *same code* the engine runs — [`crate::steps`]'s
-//! `build_snapshot`/`refresh_layers`/`scrub_sweep` and [`crate::recovery`]'s re-checking
+//! The checker runs the *same code* the engine runs — the `steps` module's
+//! `build_snapshot`/`refresh_layers`/`scrub_sweep` and the `recovery` module's re-checking
 //! recovery operate on a real [`WeightDram`] and [`RadarProtection`] — only the
 //! scheduling differs: instead of OS threads, a memoized depth-first search forks
 //! the whole state at every enabled step. [`Mutation`] seeds deliberately broken

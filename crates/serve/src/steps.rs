@@ -27,12 +27,12 @@ use crate::recovery::recover_in_dram_traced;
 /// over the weight stream. With `prot` provided, each layer runs the fused kernel
 /// ([`RadarProtection::fetch_verify_layer_at_epoch_with_scratch`]) under the
 /// [`KeyEpoch`] the builder pinned at its fetch ticket: the bytes are copied out
-/// *while* the ±1 mask scatter-adds into the signature accumulators, so the build
-/// sweeps the weight stream once instead of a copy pass plus a verify pass. A
-/// rotation publish landing between the pin and this call moves the pinned epoch
-/// into the protection's `{current, previous}` acceptance window; verification
-/// proceeds against the matching retained store either way. Without a protection
-/// the build is a plain per-layer copy.
+/// *while* the masked group sums accumulate, so the build sweeps the weight stream
+/// once instead of a copy pass plus a verify pass. A rotation publish landing
+/// between the pin and this call moves the pinned epoch into the protection's
+/// `{current, previous}` acceptance window; verification proceeds against the
+/// matching retained store either way. Without a protection the build is a plain
+/// per-layer copy.
 ///
 /// `layers` is resized to the layer count and refilled; capacities recycle across
 /// builds (the engine pools retired snapshot buffers). Returns the merged
@@ -200,20 +200,17 @@ mod tests {
     }
 
     /// The unfused reference for [`build_snapshot`]: copy every layer out of DRAM,
-    /// then verify the copy in a second pass at `epoch`.
+    /// then verify the copy in a second pass at `radar`'s current epoch.
     fn read_then_verify(
         dram: &WeightDram,
         radar: &RadarProtection,
-        epoch: KeyEpoch,
     ) -> (DetectionReport, Vec<Vec<i8>>) {
         let (mut report, mut acc) = (DetectionReport::default(), Vec::new());
         let layers = (0..dram.num_layers())
             .map(|layer| {
                 let mut buf = Vec::new();
                 dram.read_layer_into(layer, &mut buf);
-                report.merge(
-                    &radar.verify_layer_values_at_epoch_with_scratch(epoch, layer, &buf, &mut acc),
-                );
+                report.merge(&radar.verify_layer_values_with_scratch(layer, &buf, &mut acc));
                 buf
             })
             .collect();
@@ -237,7 +234,7 @@ mod tests {
         assert!(report.attack_detected());
         assert!(report.contains(2, radar.group_of(2, 5)));
         assert!(checking > Duration::ZERO);
-        let (expect_report, expect_layers) = read_then_verify(&dram, &radar, epoch);
+        let (expect_report, expect_layers) = read_then_verify(&dram, &radar);
         assert_eq!(report, expect_report);
         assert_eq!(
             snap, expect_layers,
@@ -341,13 +338,17 @@ mod tests {
             RotationAction::Published(_)
         ) {}
         dram.read_layer_into(0, &mut buf);
-        assert!(!radar.verify_layer_values(0, &buf).attack_detected());
+        assert!(!radar
+            .verify_layer_values_with_scratch(0, &buf, &mut acc)
+            .attack_detected());
     }
 
     #[test]
     fn fetch_pinned_to_the_previous_epoch_still_detects() {
         let (mut radar, mut dram) = setup();
         let pinned = radar.current_epoch();
+        // The oracle verifies at the current epoch of a copy taken before the roll.
+        let before_roll = radar.clone();
         // A full roll publishes epoch 1 while our pin is still epoch 0.
         let (mut buf, mut acc) = (Vec::new(), Vec::new());
         while !matches!(
@@ -365,7 +366,7 @@ mod tests {
             &mut checking,
         );
         assert!(report.contains(1, radar.group_of(1, 2)));
-        let (expect_report, expect_layers) = read_then_verify(&dram, &radar, pinned);
+        let (expect_report, expect_layers) = read_then_verify(&dram, &before_roll);
         assert_eq!(report, expect_report);
         assert_eq!(snap, expect_layers);
     }

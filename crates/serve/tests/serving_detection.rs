@@ -65,7 +65,11 @@ fn mid_inference_flip_is_caught_by_the_next_scrub_sweep() {
             dram.flip_bit(dram.offset_of(victim.0, victim.1), MSB);
         }
         dram.fetch_layer_into(&mut model, layer);
-        inpath.merge(&radar.detect_layers_with_scratch(&model, layer..layer + 1, &mut acc));
+        inpath.merge(&radar.verify_layer_values_with_scratch(
+            layer,
+            model.layer_values(layer),
+            &mut acc,
+        ));
     }
     assert!(
         !inpath.attack_detected(),
@@ -93,10 +97,10 @@ fn mid_inference_flip_is_caught_by_the_next_scrub_sweep() {
     }
     assert!(caught, "one full scrub cycle must cover every layer");
 
-    // The image is clean again: the next inference's verified fetch flags nothing and
+    // The image is clean again: the next inference's fetch verifies clean and
     // consumes the zeroed (recovered) weights.
-    let report = dram.fetch_into_verified(&mut model, &radar);
-    assert!(!report.attack_detected());
+    dram.fetch_into(&mut model);
+    assert!(!radar.detect(&model).attack_detected());
     assert_eq!(model.layer_values(victim.0)[victim.1], 0);
 }
 
@@ -113,7 +117,7 @@ fn recovery_is_idempotent_under_concurrent_scrub_and_inpath_detection() {
     // Both detectors observe the corruption independently, before any recovery.
     let mut buf = Vec::new();
     dram.read_layer_into(victim.0, &mut buf);
-    let scrub_report = radar.verify_layer_values(victim.0, &buf);
+    let scrub_report = radar.verify_layer_values_with_scratch(victim.0, &buf, &mut Vec::new());
     let inpath_report = scrub_report.clone();
     assert!(scrub_report.attack_detected());
 
@@ -141,9 +145,8 @@ fn recovery_is_idempotent_under_concurrent_scrub_and_inpath_detection() {
     let mut model = tiny_model();
     let dram = dram.into_inner().expect("dram lock");
     let radar = radar.into_inner().expect("radar lock");
-    assert!(!dram
-        .fetch_into_verified(&mut model, &radar)
-        .attack_detected());
+    dram.fetch_into(&mut model);
+    assert!(!radar.detect(&model).attack_detected());
     assert_eq!(model.layer_values(victim.0)[victim.1], 0);
 }
 
@@ -304,7 +307,8 @@ fn served_windows_match_a_float_replay_of_the_expected_weights() {
             let (mut radar, mut image) = (protection.clone(), dram.clone());
             assert!(event.mount(&mut image).flips_landed > 0);
             let mut replica = tiny_model();
-            let report = image.fetch_into_verified(&mut replica, &radar);
+            image.fetch_into(&mut replica);
+            let report = radar.detect(&replica);
             assert!(report.attack_detected());
             recover_in_dram(&mut radar, &mut image, &report);
             image.fetch_into(&mut replica);

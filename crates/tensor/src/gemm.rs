@@ -254,7 +254,7 @@ fn saxpy_i8(acc: &mut [i32], x: &[i8], w: i16) {
 }
 
 /// Number of `k × n` panel blocks the `i8` GEMM core has executed — one increment
-/// per `(BLOCK_K, BLOCK_N)` tile per [`gemm_i8_panel`] invocation. Gated by the
+/// per `(BLOCK_K, BLOCK_N)` tile per `gemm_i8_panel` invocation. Gated by the
 /// process-global observability level ([`radar_obs::set_global_level`]); at `Off`
 /// each micro-kernel call pays one relaxed load and a branch.
 pub static GEMM_PANELS: radar_obs::GlobalCounter = radar_obs::GlobalCounter::new();

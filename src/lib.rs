@@ -18,7 +18,9 @@
 //! // Signing compiled a streaming verification plan; the fetch path verifies one
 //! // layer at a time through it.
 //! assert_eq!(radar.plan().num_layers(), model.num_layers());
-//! assert!(!radar.verify_layer(&model, 0).attack_detected());
+//! let mut acc = Vec::new();
+//! let report = radar.verify_layer_values_with_scratch(0, model.layer_values(0), &mut acc);
+//! assert!(!report.attack_detected());
 //! ```
 
 pub use radar_archsim as archsim;

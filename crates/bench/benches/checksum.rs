@@ -1,12 +1,12 @@
 //! Criterion micro-benchmarks of the RADAR signature primitive: the masked addition
-//! checksum and per-layer signing. Whole-model verify throughput (streaming plan,
-//! sharded, fused fetch) is measured by the `bench_verify` binary.
+//! checksum and per-layer signing. Whole-model verify throughput (detect, split and
+//! fused fetch) is measured by the `bench_verify` binary.
 
 // criterion_group! expands to undocumented glue functions.
 #![allow(missing_docs)]
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use radar_core::{group_signature, masked_sum, GroupLayout, Grouping, SecretKey, SignatureBits};
+use radar_core::{binarize, masked_sum, GroupLayout, Grouping, SecretKey, SignatureBits};
 
 fn bench_masked_sum(c: &mut Criterion) {
     let mut group = c.benchmark_group("masked_sum");
@@ -21,7 +21,8 @@ fn bench_masked_sum(c: &mut Criterion) {
 }
 
 fn bench_layer_signing(c: &mut Criterion) {
-    // Sign a 64k-weight layer (≈ one mid-sized conv layer of ResNet-18) end to end.
+    // Sign a 64k-weight layer (≈ one mid-sized conv layer of ResNet-18) the way the
+    // protection does: one storage-order sweep, then binarize every group.
     let weights: Vec<i8> = (0..65_536).map(|i| (i % 251 - 125) as i8).collect();
     let key = SecretKey::new(0xBEEF);
     let mut group = c.benchmark_group("layer_signing_64k");
@@ -29,14 +30,15 @@ fn bench_layer_signing(c: &mut Criterion) {
         ("contiguous", Grouping::Contiguous),
         ("interleaved", Grouping::interleaved()),
     ] {
+        let layout = GroupLayout::new(weights.len(), 512, grouping);
+        let mut sums = vec![0i32; layout.num_groups()];
         group.bench_function(name, |b| {
             b.iter(|| {
-                let layout = GroupLayout::new(weights.len(), 512, grouping);
-                let mut sigs = Vec::with_capacity(layout.num_groups());
-                for g in 0..layout.num_groups() {
-                    let vals: Vec<i8> = layout.members(g).iter().map(|&i| weights[i]).collect();
-                    sigs.push(group_signature(&vals, &key, SignatureBits::Two));
-                }
+                layout.masked_sums(&key, black_box(&weights), &mut sums);
+                let sigs: Vec<u8> = sums
+                    .iter()
+                    .map(|&m| binarize(m, SignatureBits::Two))
+                    .collect();
                 black_box(sigs)
             })
         });

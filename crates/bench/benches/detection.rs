@@ -25,18 +25,6 @@ fn bench_detect(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_detect_parallel(c: &mut Criterion) {
-    let m = model();
-    let radar = RadarProtection::new(&m, RadarConfig::paper_default(128));
-    let mut group = c.benchmark_group("detect_parallel_g128");
-    for &threads in &[1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| black_box(radar.detect_parallel(&m, t)))
-        });
-    }
-    group.finish();
-}
-
 fn bench_detect_and_recover(c: &mut Criterion) {
     let mut group = c.benchmark_group("detect_and_recover_after_flip");
     for &g in &[16usize, 512] {
@@ -59,6 +47,6 @@ fn bench_detect_and_recover(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_detect, bench_detect_parallel, bench_detect_and_recover
+    targets = bench_detect, bench_detect_and_recover
 }
 criterion_main!(benches);

@@ -1,7 +1,7 @@
-//! Measures full-model verification throughput of the precomputed streaming plan —
-//! sequential, sharded-parallel, and the fused fetch-and-verify kernel against its
-//! two-pass baseline — on the ResNet-18-like model. Writes the human-readable table
-//! and `artifacts/results/BENCH_verify.json`.
+//! Measures full-model verification throughput — whole-model `detect`, and the
+//! fused fetch-and-verify kernel against its two-step baseline — on the
+//! ResNet-18-like model. Writes the human-readable table and
+//! `artifacts/results/BENCH_verify.json`.
 
 use radar_bench::experiments::verify;
 use radar_bench::harness::Budget;

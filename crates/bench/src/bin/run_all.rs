@@ -6,7 +6,7 @@ use radar_bench::campaign::{self, ScenarioGrid};
 use radar_bench::experiments::{
     characterize, detection, infer, knowledgeable, recovery, timing, verify,
 };
-use radar_bench::harness::{pbfa_profiles, prepare, Budget, ModelKind};
+use radar_bench::harness::{knob, parse_count, pbfa_profiles, prepare, Budget, ModelKind};
 use radar_bench::serving;
 
 fn main() {
@@ -20,13 +20,8 @@ fn main() {
     let infer_outcome = infer::bench_infer(&infer::InferBenchParams::default_run());
     infer_outcome.report().print_and_save("bench_infer");
     infer_outcome.write_json();
-    detection::missrate(
-        std::env::var("RADAR_MISSRATE_TRIALS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(200_000),
-    )
-    .print_and_save("missrate_toy_layer");
+    detection::missrate(knob("RADAR_MISSRATE_TRIALS", parse_count).unwrap_or(200_000))
+        .print_and_save("missrate_toy_layer");
 
     // Model-based experiments.
     for kind in [ModelKind::ResNet20Like, ModelKind::ResNet18Like] {

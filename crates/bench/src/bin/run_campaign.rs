@@ -12,22 +12,16 @@
 //! | `RADAR_CAMPAIGN_ROUNDS` | override rounds per cell | grid default |
 
 use radar_bench::campaign::{self, ScenarioGrid};
-use radar_bench::harness::{prepare, Budget, ModelKind};
+use radar_bench::harness::{knob, one_of, parse_count, prepare, Budget, ModelKind};
 
 fn main() {
     let budget = Budget::from_env();
-    let kind = match std::env::var("RADAR_CAMPAIGN_MODEL").as_deref() {
-        Ok("resnet18") => ModelKind::ResNet18Like,
-        _ => ModelKind::ResNet20Like,
-    };
-    let mut grid = match std::env::var("RADAR_CAMPAIGN").as_deref() {
-        Ok("smoke") => ScenarioGrid::smoke(kind, &budget),
+    let kind = ModelKind::from_env("RADAR_CAMPAIGN_MODEL");
+    let mut grid = match knob("RADAR_CAMPAIGN", |raw| one_of(raw, &["paper", "smoke"])) {
+        Some("smoke") => ScenarioGrid::smoke(kind, &budget),
         _ => ScenarioGrid::paper_grid(kind, &budget),
     };
-    if let Some(rounds) = std::env::var("RADAR_CAMPAIGN_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
+    if let Some(rounds) = knob("RADAR_CAMPAIGN_ROUNDS", parse_count) {
         grid.rounds = rounds;
     }
     eprintln!(

@@ -14,10 +14,7 @@ use radar_bench::rotation::{self, RotationBenchParams};
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let budget = Budget::from_env();
-    let kind = match std::env::var("RADAR_SERVE_MODEL").as_deref() {
-        Ok("resnet18") => ModelKind::ResNet18Like,
-        _ => ModelKind::ResNet20Like,
-    };
+    let kind = ModelKind::from_env("RADAR_SERVE_MODEL");
     let params = if smoke {
         RotationBenchParams::smoke()
     } else {

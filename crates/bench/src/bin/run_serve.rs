@@ -23,10 +23,7 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let trace = std::env::args().any(|a| a == "--trace");
     let budget = Budget::from_env();
-    let kind = match std::env::var("RADAR_SERVE_MODEL").as_deref() {
-        Ok("resnet18") => ModelKind::ResNet18Like,
-        _ => ModelKind::ResNet20Like,
-    };
+    let kind = ModelKind::from_env("RADAR_SERVE_MODEL");
     let params = if smoke {
         ServeBenchParams::smoke()
     } else {

@@ -29,7 +29,7 @@ use radar_tensor::{set_gemm_threads, Tensor, GEMM_CALLS, GEMM_PANELS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::harness::artifacts_dir;
+use crate::harness::{artifacts_dir, knob, parse_counts};
 use crate::report::Report;
 
 /// Sizing of one inference benchmark run.
@@ -62,14 +62,17 @@ impl InferBenchParams {
 
 /// The GEMM worker counts to sweep: `RADAR_GEMM_THREADS` parsed as a
 /// comma-separated list, with `1` (the bit-identical fallback) always included
-/// first. Unset or unparsable → `[1]`.
+/// first. Unset → `[1]`.
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, when it is set but not a list of
+/// non-negative integers.
 pub fn thread_axis() -> Vec<usize> {
     let mut axis = vec![1usize];
-    if let Ok(v) = std::env::var("RADAR_GEMM_THREADS") {
-        for t in v.split(',').filter_map(|t| t.trim().parse::<usize>().ok()) {
-            if t > 1 && !axis.contains(&t) {
-                axis.push(t);
-            }
+    for t in knob("RADAR_GEMM_THREADS", parse_counts).unwrap_or_default() {
+        if t > 1 && !axis.contains(&t) {
+            axis.push(t);
         }
     }
     axis.sort_unstable();

@@ -1,15 +1,12 @@
-//! Verification-throughput experiment: the precomputed streaming
-//! [`VerifyPlan`](radar_core::VerifyPlan) sweep — sequential, sharded-parallel
-//! (1/2/4 threads), and the fused fetch-and-verify kernel against its two-pass
-//! copy-then-verify baseline — measured on the ResNet-18-like model. This is the
+//! Verification-throughput experiment: the storage-order verify sweep over a whole
+//! model (`detect`), and the fused fetch-and-verify kernel against its two-pass
+//! copy-then-verify baseline, measured on the ResNet-18-like model. This is the
 //! in-repo evidence for the paper's fetch-path framing (Table IV): verification must
 //! keep up with the weight-fetch stream, so detect throughput — not just detection
 //! accuracy — is a tracked number.
 //!
 //! Besides the human-readable report, the experiment writes
-//! `artifacts/results/BENCH_verify.json` (now including `parallel` points per thread
-//! count plus the host's `hardware_threads`, so a 4-thread number measured on a
-//! smaller machine is interpretable) so CI can archive the throughput trajectory
+//! `artifacts/results/BENCH_verify.json` so CI can archive the throughput trajectory
 //! across commits.
 
 use radar_core::{DetectionReport, RadarConfig, RadarProtection, VERIFY_SWEEPS};
@@ -24,12 +21,8 @@ use crate::report::Report;
 /// Group sizes measured (the paper's ResNet-18 Table IV point plus one smaller size).
 const GROUP_SIZES: [usize; 2] = [128, 512];
 
-/// Thread counts measured for the sharded parallel detect path (1 pins the sharded
-/// code at its sequential degenerate point).
-const PARALLEL_THREADS: [usize; 3] = [1, 2, 4];
-
-/// The two-pass weight-fetch baseline: copy every layer out of DRAM, then run the
-/// streaming verify over the copy — what a fetch without the fused kernel pays
+/// The two-step weight-fetch baseline: copy every layer out of DRAM, then verify
+/// the copy through the value kernel — what a fetch without the fused kernel pays
 /// per batch.
 fn split_fetch_verify(
     radar: &RadarProtection,
@@ -45,9 +38,9 @@ fn split_fetch_verify(
     report
 }
 
-/// The fused fetch-and-verify sweep: one pass per layer copies the DRAM bytes out
-/// while accumulating the masked group sums — what the shared-snapshot build pays
-/// per batch.
+/// The fused fetch-and-verify kernel: per layer, the DRAM bytes are copied out and
+/// the cache-hot copy is verified in the same call — what the shared-snapshot build
+/// pays per batch.
 fn fused_fetch_verify(
     radar: &RadarProtection,
     dram: &WeightDram,
@@ -81,19 +74,18 @@ fn median_seconds(iters: usize, mut f: impl FnMut()) -> f64 {
     times[times.len() / 2]
 }
 
-/// One measured `(group size, streaming, parallel…)` point.
+/// One measured group-size point.
 struct Measurement {
     group_size: usize,
-    plan_seconds: f64,
-    /// `(threads, seconds)` per measured parallel thread count.
-    parallel_seconds: Vec<(usize, f64)>,
+    /// Full-model `detect` over in-memory values.
+    detect_seconds: f64,
     /// Full-model copy-then-verify from DRAM (the unfused two-pass baseline).
     split_fetch_seconds: f64,
     /// Full-model fused copy-and-verify from DRAM (the snapshot build kernel).
     fused_fetch_seconds: f64,
-    /// [`VERIFY_SWEEPS`] per sequential detect pass (one per layer — pinned by
-    /// the counter so a plan-bypassing regression shows up in the artifact).
-    plan_sweeps: u64,
+    /// [`VERIFY_SWEEPS`] per detect pass (one per layer — pinned by the counter so
+    /// a second sweep sneaking into the pass shows up in the artifact).
+    sweeps: u64,
 }
 
 impl Measurement {
@@ -101,23 +93,14 @@ impl Measurement {
     fn fused_speedup(&self) -> f64 {
         self.split_fetch_seconds / self.fused_fetch_seconds
     }
-
-    /// Speedup of the parallel sweep at `threads` over the sequential plan sweep.
-    fn parallel_speedup(&self, threads: usize) -> Option<f64> {
-        self.parallel_seconds
-            .iter()
-            .find(|&&(t, _)| t == threads)
-            .map(|&(_, s)| self.plan_seconds / s)
-    }
 }
 
 /// Runs the verification-throughput comparison and writes the JSON artifact.
 ///
 /// The model is the ResNet-18-like architecture at base width 32 (~2.8 M weights —
 /// a quarter of real ResNet-18's 11 M, against the width-8 ~177 k-weight variant the
-/// accuracy experiments train), so one detect pass carries enough work for the
-/// sharded parallel path to amortize its per-pass thread spawns; weights are
-/// untrained because detect throughput is independent of weight values.
+/// accuracy experiments train), so one pass spans a working set beyond L2; weights
+/// are untrained because detect throughput is independent of weight values.
 pub fn bench_verify(budget: &Budget) -> Report {
     // Arm the kernel-side global counters so sweep counts can be attributed per
     // detect pass (single-session binary; the process-wide gate is unambiguous).
@@ -126,18 +109,13 @@ pub fn bench_verify(budget: &Budget) -> Report {
     let total_weights = model.total_weights();
     let iters = budget.verify_iters;
 
-    let hardware_threads = crate::harness::default_threads();
-    let mut report = Report::new("Verification throughput — streaming plan, sharded and fused");
+    let mut report = Report::new("Verification throughput — detect, split and fused fetch");
     report.line(format!(
-        "ResNet-18-like model, {total_weights} weights, median of {iters} passes, \
-         {hardware_threads} hardware threads"
+        "ResNet-18-like model, {total_weights} weights, median of {iters} passes"
     ));
     report.row(&[
         "G".into(),
-        "plan (ms)".into(),
-        "1t (ms)".into(),
-        "2t (ms)".into(),
-        "4t (ms)".into(),
+        "detect (ms)".into(),
         "split (ms)".into(),
         "fused (ms)".into(),
         "fused speedup".into(),
@@ -151,24 +129,12 @@ pub fn bench_verify(budget: &Budget) -> Report {
         let radar = RadarProtection::new(&model, RadarConfig::paper_default(g));
         // Sanity: all paths agree on the clean model before being timed.
         assert!(!radar.detect(&model).attack_detected());
-        for t in PARALLEL_THREADS {
-            assert!(!radar.detect_parallel(&model, t).attack_detected());
-        }
         assert!(!split_fetch_verify(&radar, &dram, &mut layers, &mut acc).attack_detected());
         assert!(!fused_fetch_verify(&radar, &dram, &mut layers, &mut acc).attack_detected());
 
-        let plan_seconds = median_seconds(iters, || {
+        let detect_seconds = median_seconds(iters, || {
             std::hint::black_box(radar.detect(&model));
         });
-        let parallel_seconds: Vec<(usize, f64)> = PARALLEL_THREADS
-            .iter()
-            .map(|&t| {
-                let s = median_seconds(iters, || {
-                    std::hint::black_box(radar.detect_parallel(&model, t));
-                });
-                (t, s)
-            })
-            .collect();
         let split_fetch_seconds = median_seconds(iters, || {
             std::hint::black_box(split_fetch_verify(&radar, &dram, &mut layers, &mut acc));
         });
@@ -179,28 +145,18 @@ pub fn bench_verify(budget: &Budget) -> Report {
         // One counted (untimed) pass attributes the sweep counter to this point.
         VERIFY_SWEEPS.reset();
         std::hint::black_box(radar.detect(&model));
-        let plan_sweeps = VERIFY_SWEEPS.reset();
+        let sweeps = VERIFY_SWEEPS.reset();
 
         let m = Measurement {
             group_size: g,
-            plan_seconds,
-            parallel_seconds,
+            detect_seconds,
             split_fetch_seconds,
             fused_fetch_seconds,
-            plan_sweeps,
-        };
-        let par_ms = |t: usize| {
-            m.parallel_seconds
-                .iter()
-                .find(|&&(pt, _)| pt == t)
-                .map_or("-".to_owned(), |&(_, s)| format!("{:.3}", s * 1e3))
+            sweeps,
         };
         report.row(&[
             format!("{g}"),
-            format!("{:.3}", m.plan_seconds * 1e3),
-            par_ms(1),
-            par_ms(2),
-            par_ms(4),
+            format!("{:.3}", m.detect_seconds * 1e3),
             format!("{:.3}", m.split_fetch_seconds * 1e3),
             format!("{:.3}", m.fused_fetch_seconds * 1e3),
             format!("{:.2}x", m.fused_speedup()),
@@ -210,58 +166,40 @@ pub fn bench_verify(budget: &Budget) -> Report {
 
     if let Some(m) = measurements.first() {
         report.line(format!(
-            "streaming plan: {} layer sweeps per detect pass (VERIFY_SWEEPS)",
-            m.plan_sweeps
+            "{} layer sweeps per detect pass (VERIFY_SWEEPS)",
+            m.sweeps
         ));
     }
-    write_json(total_weights, iters, hardware_threads, &measurements);
+    write_json(total_weights, iters, &measurements);
     report
 }
 
 /// Serializes the measurements as `artifacts/results/BENCH_verify.json` (hand-rolled:
 /// the workspace carries no JSON dependency).
-fn write_json(
-    total_weights: usize,
-    iters: usize,
-    hardware_threads: usize,
-    measurements: &[Measurement],
-) {
+fn write_json(total_weights: usize, iters: usize, measurements: &[Measurement]) {
     let points: Vec<String> = measurements
         .iter()
         .map(|m| {
-            let parallel: Vec<String> = m
-                .parallel_seconds
-                .iter()
-                .map(|&(t, s)| {
-                    format!(
-                        "{{\"threads\": {t}, \"seconds\": {s:.9}, \"speedup_vs_plan\": {:.3}}}",
-                        m.parallel_speedup(t).unwrap_or(f64::NAN)
-                    )
-                })
-                .collect();
             format!(
                 concat!(
-                    "    {{\"group_size\": {}, \"plan_seconds\": {:.9}, ",
+                    "    {{\"group_size\": {}, \"detect_seconds\": {:.9}, ",
                     "\"split_fetch_seconds\": {:.9}, \"fused_fetch_seconds\": {:.9}, ",
-                    "\"fused_speedup\": {:.3}, ",
-                    "\"plan_sweeps_per_pass\": {}, \"parallel\": [{}]}}"
+                    "\"fused_speedup\": {:.3}, \"sweeps_per_pass\": {}}}"
                 ),
                 m.group_size,
-                m.plan_seconds,
+                m.detect_seconds,
                 m.split_fetch_seconds,
                 m.fused_fetch_seconds,
                 m.fused_speedup(),
-                m.plan_sweeps,
-                parallel.join(", ")
+                m.sweeps,
             )
         })
         .collect();
     let json = format!(
         "{{\n  \"model\": \"resnet18-like\",\n  \"total_weights\": {},\n  \
-         \"iters\": {},\n  \"hardware_threads\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+         \"iters\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         total_weights,
         iters,
-        hardware_threads,
         points.join(",\n")
     );
     let path = artifacts_dir().join("results").join("BENCH_verify.json");
@@ -274,18 +212,6 @@ mod tests {
     use super::*;
     use radar_nn::resnet20;
     use radar_quant::MSB;
-
-    #[test]
-    fn sequential_and_parallel_detect_agree_on_a_corrupted_model() {
-        let mut model = QuantizedModel::new(Box::new(resnet20(&ResNetConfig::tiny(4))));
-        let radar = RadarProtection::new(&model, RadarConfig::paper_default(32));
-        model.flip_bit(1, 7, MSB);
-        model.flip_bit(5, 0, MSB);
-        assert!(radar.detect(&model).attack_detected());
-        for t in PARALLEL_THREADS {
-            assert_eq!(radar.detect(&model), radar.detect_parallel(&model, t));
-        }
-    }
 
     #[test]
     fn split_and_fused_fetch_paths_agree_on_a_corrupted_dram_image() {

@@ -1,6 +1,7 @@
 //! Shared experiment infrastructure: model preparation (train-or-load), attack-profile
 //! generation with on-disk caching, and environment-variable budget knobs.
 
+use std::env::VarError;
 use std::path::PathBuf;
 
 use radar_attack::{AttackProfile, Pbfa, PbfaConfig};
@@ -37,6 +38,19 @@ impl ModelKind {
         match self {
             ModelKind::ResNet20Like => "resnet20",
             ModelKind::ResNet18Like => "resnet18",
+        }
+    }
+
+    /// The model named by environment knob `key` (`resnet20` or `resnet18`),
+    /// ResNet-20 when unset.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the variable and its value, on any other value.
+    pub fn from_env(key: &str) -> Self {
+        match knob(key, |raw| one_of(raw, &["resnet20", "resnet18"])) {
+            Some("resnet18") => ModelKind::ResNet18Like,
+            _ => ModelKind::ResNet20Like,
         }
     }
 
@@ -82,7 +96,10 @@ impl ModelKind {
 /// | `RADAR_EVAL_SAMPLES` | test samples used for accuracy numbers | 400 |
 /// | `RADAR_ATTACK_BATCH` | attacker batch size | 16 |
 /// | `RADAR_VERIFY_ITERS` | timed passes per point in the verification bench | 20 |
-/// | `RADAR_THREADS` | worker threads for the campaign engine and parallel detect | available cores |
+/// | `RADAR_THREADS` | worker threads for the campaign engine | available cores |
+///
+/// Every variable is read through [`knob`]: an unset variable keeps its default, and a
+/// set one that is not a non-negative integer ([`parse_count`]) panics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Budget {
     /// Number of independent attack rounds (the paper uses 100).
@@ -98,8 +115,7 @@ pub struct Budget {
     /// Timed full-model verification passes per measured point in the
     /// detect-throughput experiment (`bench_verify`).
     pub verify_iters: usize,
-    /// Worker threads used by the scenario-campaign engine and the parallel
-    /// detection benches.
+    /// Worker threads used by the scenario-campaign engine.
     pub threads: usize,
 }
 
@@ -123,14 +139,14 @@ pub fn default_threads() -> usize {
 }
 
 impl Budget {
-    /// Reads the budget from the environment, falling back to defaults.
+    /// Reads the budget from the environment; unset variables keep their defaults.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the variable and its value, when a set variable is not a
+    /// non-negative integer.
     pub fn from_env() -> Self {
-        let get = |key: &str, default: usize| -> usize {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
+        let get = |key: &str, default: usize| knob(key, parse_count).unwrap_or(default);
         let d = Budget::default();
         Budget {
             rounds: get("RADAR_ROUNDS", d.rounds),
@@ -142,6 +158,57 @@ impl Budget {
             threads: get("RADAR_THREADS", d.threads).max(1),
         }
     }
+}
+
+/// Reads environment knob `key` through `parse`: `None` when the variable is unset.
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, when the variable is set but `parse`
+/// rejects it (or it is not valid unicode) — a typo fails the run instead of
+/// silently running with the default.
+pub fn knob<T>(key: &str, parse: impl FnOnce(&str) -> Result<T, String>) -> Option<T> {
+    match std::env::var(key) {
+        Ok(raw) => Some(parse(&raw).unwrap_or_else(|e| panic!("{key}={raw:?}: {e}"))),
+        Err(VarError::NotPresent) => None,
+        Err(VarError::NotUnicode(raw)) => panic!("{key}={raw:?}: not valid unicode"),
+    }
+}
+
+/// Parses a numeric knob's value: a non-negative decimal integer, digits only (no
+/// sign, no whitespace).
+///
+/// # Errors
+///
+/// Returns why `raw` is not such an integer.
+pub fn parse_count(raw: &str) -> Result<usize, String> {
+    if raw.is_empty() || !raw.bytes().all(|b| b.is_ascii_digit()) {
+        return Err("expected a non-negative integer".to_owned());
+    }
+    raw.parse()
+        .map_err(|e| format!("expected a non-negative integer ({e})"))
+}
+
+/// Parses a list knob's value: comma-separated [`parse_count`] entries.
+///
+/// # Errors
+///
+/// Returns why the first malformed entry was rejected.
+pub fn parse_counts(raw: &str) -> Result<Vec<usize>, String> {
+    raw.split(',').map(parse_count).collect()
+}
+
+/// Accepts `raw` only if it is one of `accepted`.
+///
+/// # Errors
+///
+/// Returns a message listing the accepted values.
+pub fn one_of<'a>(raw: &str, accepted: &[&'a str]) -> Result<&'a str, String> {
+    accepted
+        .iter()
+        .copied()
+        .find(|&a| a == raw)
+        .ok_or_else(|| format!("expected one of: {}", accepted.join(", ")))
 }
 
 /// The directory all trained checkpoints, cached attack profiles and experiment reports
@@ -315,6 +382,40 @@ mod tests {
         assert!(b.eval_samples >= 100);
         assert_eq!(b.verify_iters, 20);
         assert!(b.threads >= 1);
+    }
+
+    #[test]
+    fn count_knobs_parse_strictly() {
+        assert_eq!(parse_count("0"), Ok(0));
+        assert_eq!(parse_count("3"), Ok(3));
+        for bad in ["", "x", "-1", " 2", "+3", "2,4", "99999999999999999999999"] {
+            assert!(parse_count(bad).is_err(), "{bad:?} must be rejected");
+        }
+        assert_eq!(parse_counts("2,4"), Ok(vec![2, 4]));
+        assert_eq!(parse_counts("3"), Ok(vec![3]));
+        for bad in ["", "2,", "2, 4", "2,x"] {
+            assert!(parse_counts(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn string_knobs_accept_only_listed_values() {
+        assert_eq!(one_of("smoke", &["paper", "smoke"]), Ok("smoke"));
+        let err = one_of("smok", &["paper", "smoke"]).unwrap_err();
+        assert!(err.contains("paper, smoke"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "RADAR_TEST_MALFORMED_KNOB=\"O\"")]
+    fn a_malformed_knob_panics_naming_the_variable_and_value() {
+        // A variable no other code reads, so setting it cannot race another test.
+        std::env::set_var("RADAR_TEST_MALFORMED_KNOB", "O");
+        knob("RADAR_TEST_MALFORMED_KNOB", parse_count);
+    }
+
+    #[test]
+    fn an_unset_knob_keeps_its_default() {
+        assert_eq!(knob("RADAR_TEST_UNSET_KNOB", parse_count), None);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::shard::ObsShard;
 use crate::span::{Span, SpanTimer};
 
 /// A process-global gated counter, for instrumenting kernels that have no shard to
-/// write to (`gemm` panel counts, `VerifyPlan` sweeps, ticket waits). Define one as
+/// write to (`gemm` panel counts, verify sweeps, ticket waits). Define one as
 /// a `static`; it costs one relaxed load and a branch when the global level is
 /// `Off`.
 #[derive(Debug)]

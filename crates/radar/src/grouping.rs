@@ -1,3 +1,15 @@
+use crate::key::{SecretKey, KEY_BITS};
+
+/// Number of masked-accumulation sweeps ([`GroupLayout::masked_sums`]) executed — one
+/// per layer per signature computation or check, across signing, in-path
+/// verification, scrubbing and rotation re-signing. Gated by the process-global
+/// observability level ([`radar_obs::set_global_level`]); at `Off` each sweep pays one
+/// relaxed load and a branch.
+pub static VERIFY_SWEEPS: radar_obs::GlobalCounter = radar_obs::GlobalCounter::new();
+
+/// Length of the key's ±1 pattern: slot `k` of a group takes key bit `k mod KEY_LEN`.
+const KEY_LEN: usize = KEY_BITS as usize;
+
 /// How a layer's weights are assigned to checksum groups.
 ///
 /// * [`Grouping::Contiguous`] — group `j` holds weights `j·G .. (j+1)·G` (the paper's
@@ -178,6 +190,97 @@ impl GroupLayout {
     pub fn padded_len(&self) -> usize {
         self.num_groups * self.group_size
     }
+
+    /// Every group's masked addition checksum `M` under `key`, computed in one sweep
+    /// over `weights` in storage order: `acc[g]` is overwritten with group `g`'s sum
+    /// and entries past [`num_groups`](Self::num_groups) are left untouched, so one
+    /// scratch buffer serves layers of different widths. Ticks [`VERIFY_SWEEPS`] once.
+    ///
+    /// The sweep is arithmetic on the layout; it reads no per-weight table:
+    ///
+    /// * contiguous — group `j` is `weights[j·G .. (j+1)·G]` and slot `k` takes key bit
+    ///   `k mod 16`, so each group is a dot product with the key's 16-entry ±1 pattern;
+    /// * interleaved — row `r` (weights `r·ng .. (r+1)·ng`) holds slot `r` of every
+    ///   group under one key bit, and its column `c` belongs to group
+    ///   `(c + r·t) mod ng`. The row is added to (or, for a 0 key bit, subtracted
+    ///   from) the accumulators as two contiguous runs, split at `ng − (r·t mod ng)`;
+    ///   the last row may be short.
+    ///
+    /// `i32` addition is exact, so every sum equals [`masked_sum`](crate::masked_sum)
+    /// over the group's [`members`](Self::members) (pinned against
+    /// [`gather_signatures`](crate::gather_signatures) by the `plan_equivalence`
+    /// proptests).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len()` differs from the layer length or `acc` holds fewer
+    /// than `num_groups` entries.
+    pub fn masked_sums(&self, key: &SecretKey, weights: &[i8], acc: &mut [i32]) {
+        assert_eq!(
+            weights.len(),
+            self.len,
+            "weight count does not match the layout"
+        );
+        let ng = self.num_groups;
+        assert!(
+            acc.len() >= ng,
+            "accumulator holds {} entries, need {ng}",
+            acc.len()
+        );
+        VERIFY_SWEEPS.add(1);
+        let acc = &mut acc[..ng];
+        match self.grouping {
+            Grouping::Contiguous => {
+                let pattern: [i32; KEY_LEN] = std::array::from_fn(|k| key.mask(k));
+                for (sum, group) in acc.iter_mut().zip(weights.chunks(self.group_size)) {
+                    *sum = pattern_dot(group, &pattern);
+                }
+            }
+            Grouping::Interleaved { offset } => {
+                acc.fill(0);
+                for (row, run) in weights.chunks(ng).enumerate() {
+                    let shift = (row * offset) % ng;
+                    let (head, tail) = run.split_at(run.len().min(ng - shift));
+                    let keep = key.keeps_sign(row);
+                    add_run(&mut acc[shift..], head, keep);
+                    add_run(acc, tail, keep);
+                }
+            }
+        }
+    }
+}
+
+/// One contiguous group's masked sum: a dot product with the key's ±1 `pattern`,
+/// which restarts at slot 0 with the group.
+fn pattern_dot(group: &[i8], pattern: &[i32; KEY_LEN]) -> i32 {
+    let mut blocks = group.chunks_exact(KEY_LEN);
+    let mut lanes = [0i32; KEY_LEN];
+    for block in &mut blocks {
+        for ((lane, &m), &w) in lanes.iter_mut().zip(pattern).zip(block) {
+            *lane += m * i32::from(w);
+        }
+    }
+    let tail: i32 = blocks
+        .remainder()
+        .iter()
+        .zip(pattern)
+        .map(|(&w, &m)| m * i32::from(w))
+        .sum();
+    lanes.iter().sum::<i32>() + tail
+}
+
+/// Adds one run of a row's weights into the accumulators of their groups, or
+/// subtracts it when the row's key bit is 0.
+fn add_run(acc: &mut [i32], run: &[i8], keep: bool) {
+    if keep {
+        for (sum, &w) in acc.iter_mut().zip(run) {
+            *sum += i32::from(w);
+        }
+    } else {
+        for (sum, &w) in acc.iter_mut().zip(run) {
+            *sum -= i32::from(w);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -302,5 +405,50 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn group_of_out_of_bounds_panics() {
         GroupLayout::new(10, 4, Grouping::Contiguous).group_of(10);
+    }
+
+    #[test]
+    fn masked_sums_match_the_gathered_members() {
+        let key = SecretKey::new(0xBEEF);
+        for grouping in [
+            Grouping::Contiguous,
+            Grouping::interleaved(),
+            Grouping::Interleaved { offset: 0 },
+            Grouping::Interleaved { offset: 7 },
+        ] {
+            // (5, 4) has two groups, so every offset above wraps past `num_groups`.
+            for (len, g) in [(128, 16), (130, 16), (37, 5), (513, 64), (5, 4)] {
+                let layout = GroupLayout::new(len, g, grouping);
+                let weights: Vec<i8> = (0..len)
+                    .map(|i| (i as i32 * 37 % 251 - 125) as i8)
+                    .collect();
+                let ng = layout.num_groups();
+                let mut acc = vec![i32::MIN; ng + 1];
+                layout.masked_sums(&key, &weights, &mut acc);
+                for (group, &sum) in acc[..ng].iter().enumerate() {
+                    let vals: Vec<i8> = layout.members(group).iter().map(|&i| weights[i]).collect();
+                    assert_eq!(
+                        sum,
+                        crate::masked_sum(&vals, &key),
+                        "{grouping:?} len={len} G={g} group {group}"
+                    );
+                }
+                assert_eq!(acc[ng], i32::MIN, "entries past num_groups stay untouched");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "weight count does not match")]
+    fn masked_sums_reject_a_wrong_weight_count() {
+        let layout = GroupLayout::new(16, 4, Grouping::interleaved());
+        layout.masked_sums(&SecretKey::new(1), &[0i8; 15], &mut [0i32; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "accumulator holds")]
+    fn masked_sums_reject_a_short_scratch() {
+        let layout = GroupLayout::new(16, 4, Grouping::Contiguous);
+        layout.masked_sums(&SecretKey::new(1), &[0i8; 16], &mut [0i32; 3]);
     }
 }

@@ -19,19 +19,18 @@
 //!    ([`RadarProtection::detect`]) and **recovering** by zeroing every weight of a
 //!    flagged group ([`RadarProtection::recover`]).
 //!
-//! Detection streams through a [`VerifyPlan`] compiled at signing time: per layer, a
-//! flat slot-ordered member permutation, a group-offset table and the ±1 key masks
-//! permuted into member order ([`LayerPlan`]), so every run-time pass walks the groups
-//! as fixed-width masked dot products — no per-pass member lists, no allocations. Two
-//! per-layer kernels run every check:
+//! Every signature is computed by one storage-order sweep over the layer,
+//! [`GroupLayout::masked_sums`], which is arithmetic on the layout and the key alone:
+//! an interleaved row holds one slot of every group under one key bit, so it adds into
+//! the group accumulators as two contiguous runs; a contiguous group is a dot product
+//! with the key's 16-entry ±1 pattern. There is no per-weight table and no gather.
+//! Signing, both per-layer verify kernels and key rotation run that sweep:
 //! [`RadarProtection::verify_layer_values_with_scratch`] verifies in-memory values
 //! (the scrubber, the recovery re-check, the key roll's pre-sign check) and
 //! [`RadarProtection::fetch_verify_layer_at_epoch_with_scratch`] copies a layer's
-//! DRAM bytes out while verifying them, at a pinned key epoch (the serving engine's
+//! DRAM bytes out and verifies the copy, at a pinned key epoch (the serving engine's
 //! snapshot build). [`RadarProtection::detect`] loops the same check over a whole
-//! model, and [`RadarProtection::detect_parallel`] shards that loop across scoped
-//! worker threads (contiguous, weight-balanced layer ranges; one accumulator scratch
-//! per worker) for multi-core hosts.
+//! model.
 //!
 //! [`ProtectedModel`] embeds the whole flow into the inference path.
 //!
@@ -59,16 +58,14 @@
 mod config;
 mod grouping;
 mod key;
-mod plan;
 mod protected;
 mod protection;
 mod signature;
 mod store;
 
 pub use config::RadarConfig;
-pub use grouping::{GroupLayout, Grouping};
+pub use grouping::{GroupLayout, Grouping, VERIFY_SWEEPS};
 pub use key::{KeyEpoch, KeySchedule, MasterSecret, SecretKey, KEY_BITS};
-pub use plan::{LayerPlan, VerifyPlan, VERIFY_LANES, VERIFY_SWEEPS};
 pub use protected::{ProtectedModel, ProtectionStats};
 pub use protection::{
     DetectionReport, FlaggedGroup, LayerProtection, RadarProtection, RecoveryReport,

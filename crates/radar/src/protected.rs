@@ -23,7 +23,7 @@ pub struct ProtectionStats {
 /// Every call to [`forward`](Self::forward) first verifies the weights that inference is
 /// about to consume and zeroes out any flagged group before computing, mirroring the
 /// run-time flow of Sections IV–V on an in-memory model. (The serving engine embeds
-/// the check in the weight fetch itself, one fused copy-and-verify sweep per layer.)
+/// the check in the weight fetch itself, one fetch-and-verify pass per layer.)
 ///
 /// # Example
 ///

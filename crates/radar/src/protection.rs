@@ -1,12 +1,9 @@
-use std::ops::Range;
-
 use radar_quant::QuantizedModel;
 
 use crate::config::RadarConfig;
 use crate::grouping::GroupLayout;
 use crate::key::{KeyEpoch, KeySchedule, SecretKey};
-use crate::plan::{LayerPlan, VerifyPlan};
-use crate::signature::binarize;
+use crate::signature::{binarize, SignatureBits};
 use crate::store::SignatureStore;
 
 /// Per-layer protection state: the layer's secret key and group layout.
@@ -25,6 +22,14 @@ impl LayerProtection {
     /// The layer's group layout.
     pub fn layout(&self) -> GroupLayout {
         self.layout
+    }
+
+    /// Signs `values` under this layer's key: one [`GroupLayout::masked_sums`] sweep,
+    /// then [`binarize`] per group.
+    fn sign(&self, values: &[i8], bits: SignatureBits) -> Vec<u8> {
+        let mut sums = vec![0; self.layout.num_groups()];
+        self.layout.masked_sums(&self.key, values, &mut sums);
+        sums.into_iter().map(|m| binarize(m, bits)).collect()
     }
 }
 
@@ -63,8 +68,7 @@ impl DetectionReport {
     }
 
     /// Folds another report into this one; used by the incremental fetch-path checks to
-    /// combine per-layer verdicts into a whole-pass report, and by the sharded parallel
-    /// detect to fold per-shard reports.
+    /// combine per-layer verdicts into a whole-pass report.
     ///
     /// The merged report is restored to sorted `(layer, group)` order and deduplicated
     /// — unconditionally, even when `other` is empty — so a group flagged by two
@@ -87,36 +91,48 @@ pub struct RecoveryReport {
     pub weights_zeroed: usize,
 }
 
-/// One epoch's verification state: the per-layer keys, the compiled
-/// [`VerifyPlan`], and the golden [`SignatureStore`] — always paired, always
-/// from the same [`KeyEpoch`].
+/// One epoch's verification state: the per-layer keys and layouts and the golden
+/// [`SignatureStore`] — always paired, always from the same [`KeyEpoch`].
 #[derive(Debug, Clone, PartialEq)]
 struct EpochState {
     epoch: KeyEpoch,
     layers: Vec<LayerProtection>,
-    plan: VerifyPlan,
     golden: SignatureStore,
 }
 
 impl EpochState {
-    /// The plan of `layer`, after checking that the layer exists and still has the
-    /// `len` weights it was signed with; grows `acc` to the layer's group count.
-    fn checked_plan(&self, layer: usize, len: usize, acc: &mut Vec<i32>) -> &LayerPlan {
+    /// Verifies one layer's raw weight values against this epoch's keys and golden
+    /// store, appending mismatches to `report` — the verify core behind both
+    /// per-layer kernels. `acc` is grown to the layer's group count, never shrunk.
+    fn check_layer(
+        &self,
+        layer: usize,
+        values: &[i8],
+        acc: &mut Vec<i32>,
+        report: &mut DetectionReport,
+    ) {
         assert!(
             layer < self.layers.len(),
             "layer {layer} out of bounds for {} layers",
             self.layers.len()
         );
+        let LayerProtection { key, layout } = self.layers[layer];
         assert_eq!(
-            len,
-            self.layers[layer].layout.len(),
+            values.len(),
+            layout.len(),
             "layer {layer} size changed since signing"
         );
-        let plan = self.plan.layer(layer);
-        if acc.len() < plan.num_groups() {
-            acc.resize(plan.num_groups(), 0);
+        let groups = layout.num_groups();
+        if acc.len() < groups {
+            acc.resize(groups, 0);
         }
-        plan
+        layout.masked_sums(&key, values, acc);
+        let bits = self.golden.signature_bits();
+        for (group, &m) in acc[..groups].iter().enumerate() {
+            if binarize(m, bits) != self.golden.signature(layer, group) {
+                report.flagged.push(FlaggedGroup { layer, group });
+            }
+        }
     }
 }
 
@@ -139,9 +155,10 @@ struct PendingEpoch {
 /// [`verify_layer_values_with_scratch`](Self::verify_layer_values_with_scratch)
 /// verifies in-memory `i8` values at the current epoch, and
 /// [`fetch_verify_layer_at_epoch_with_scratch`](Self::fetch_verify_layer_at_epoch_with_scratch)
-/// copies DRAM bytes out and verifies them in the same sweep at a pinned epoch.
-/// [`detect`](Self::detect) and [`detect_parallel`](Self::detect_parallel) loop the
-/// same per-layer check over a whole model.
+/// copies DRAM bytes out and verifies the copy at a pinned epoch. Both run one
+/// [`GroupLayout::masked_sums`] sweep per layer, and [`detect`](Self::detect) loops
+/// the same per-layer check over a whole model. Per layer, the protection holds only
+/// the [`GroupLayout`], the [`SecretKey`] and the packed golden signatures.
 ///
 /// # Key epochs
 ///
@@ -195,9 +212,8 @@ pub struct RadarProtection {
 }
 
 impl RadarProtection {
-    /// Signs the (clean) `model` under `config`, producing the golden signature store
-    /// and compiling the [`VerifyPlan`] every run-time pass streams through. The
-    /// initial epoch is [`KeyEpoch::ZERO`].
+    /// Signs the (clean) `model` under `config`, producing the golden signature store.
+    /// The initial epoch is [`KeyEpoch::ZERO`].
     pub fn new(model: &QuantizedModel, config: RadarConfig) -> Self {
         let schedule = KeySchedule::from_seed(config.key_seed);
         let layouts: Vec<GroupLayout> = model
@@ -206,15 +222,9 @@ impl RadarProtection {
             .map(|layer| GroupLayout::new(layer.len(), config.group_size, config.grouping))
             .collect();
         let layers = Self::epoch_layers(&config, &schedule, &layouts, KeyEpoch::ZERO);
-        let plan = VerifyPlan::for_epoch(
-            layers.iter().map(|l| (l.layout, l.key)),
-            config.signature_bits,
-            KeyEpoch::ZERO,
-        );
         let mut golden = SignatureStore::for_epoch(config.signature_bits, KeyEpoch::ZERO);
-        for (layer_plan, layer) in plan.layers().iter().zip(model.layers().iter()) {
-            golden
-                .push_layer(layer_plan.signatures(layer.weights().values(), config.signature_bits));
+        for (protection, layer) in layers.iter().zip(model.layers()) {
+            golden.push_layer(protection.sign(layer.weights().values(), config.signature_bits));
         }
         RadarProtection {
             config,
@@ -222,7 +232,6 @@ impl RadarProtection {
             current: EpochState {
                 epoch: KeyEpoch::ZERO,
                 layers,
-                plan,
                 golden,
             },
             previous: None,
@@ -264,11 +273,6 @@ impl RadarProtection {
     /// Per-layer protection state of the current epoch.
     pub fn layers(&self) -> &[LayerProtection] {
         &self.current.layers
-    }
-
-    /// The precomputed streaming verification plan of the current epoch.
-    pub fn plan(&self) -> &VerifyPlan {
-        &self.current.plan
     }
 
     /// The golden signature store of the current epoch (what would be kept in
@@ -327,20 +331,14 @@ impl RadarProtection {
         let epoch = self.current.epoch.next();
         let layouts: Vec<GroupLayout> = self.current.layers.iter().map(|l| l.layout).collect();
         let layers = Self::epoch_layers(&self.config, &self.schedule, &layouts, epoch);
-        let plan = VerifyPlan::for_epoch(
-            layers.iter().map(|l| (l.layout, l.key)),
-            self.config.signature_bits,
-            epoch,
-        );
         let mut golden = SignatureStore::for_epoch(self.config.signature_bits, epoch);
-        for layer_plan in plan.layers() {
-            golden.push_layer(vec![0u8; layer_plan.num_groups()]);
+        for layer in &layers {
+            golden.push_layer(vec![0u8; layer.layout.num_groups()]);
         }
         self.pending = Some(PendingEpoch {
             state: EpochState {
                 epoch,
                 layers,
-                plan,
                 golden,
             },
             resigned: 0,
@@ -384,7 +382,7 @@ impl RadarProtection {
             "layers must be re-signed in order: expected layer {}, got {layer}",
             pending.resigned
         );
-        let sigs = pending.state.plan.layer(layer).signatures(values, bits);
+        let sigs = pending.state.layers[layer].sign(values, bits);
         for (group, &sig) in sigs.iter().enumerate() {
             pending.state.golden.set_signature(layer, group, sig);
         }
@@ -433,49 +431,23 @@ impl RadarProtection {
 
     /// Runs the full detection pass: recomputes every group signature from the model's
     /// current (possibly corrupted) weights and compares with the golden store — one
-    /// [`VerifyPlan`] sweep per layer, one accumulator scratch for the whole pass.
+    /// sweep per layer, one accumulator scratch for the whole pass.
     ///
     /// # Panics
     ///
     /// Panics if `model` does not have the same layer sizes as the model used at
     /// construction time.
     pub fn detect(&self, model: &QuantizedModel) -> DetectionReport {
-        let values = self.model_values(model);
-        self.check_layers(&values, 0..values.len())
-    }
-
-    /// Sharded parallel detection: splits the layers into contiguous, weight-balanced
-    /// ranges and verifies them concurrently on `threads` scoped workers, each with its
-    /// own accumulator scratch over the shared [`VerifyPlan`].
-    ///
-    /// Produces exactly the report [`detect`](Self::detect) would (same flag set, same
-    /// `(layer, group)` order): shards are disjoint layer ranges, so the per-shard
-    /// reports concatenate in order with no duplicates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero or under the same model-mismatch conditions as
-    /// [`detect`](Self::detect).
-    pub fn detect_parallel(&self, model: &QuantizedModel, threads: usize) -> DetectionReport {
-        assert!(threads > 0, "thread count must be non-zero");
-        let values = self.model_values(model);
-        let ranges = self.shard_ranges(threads);
-        if ranges.len() <= 1 {
-            return self.check_layers(&values, 0..values.len());
+        assert_eq!(
+            model.num_layers(),
+            self.current.layers.len(),
+            "model layer count changed since signing"
+        );
+        let (mut acc, mut report) = (Vec::new(), DetectionReport::default());
+        for layer in 0..model.num_layers() {
+            self.current
+                .check_layer(layer, model.layer_values(layer), &mut acc, &mut report);
         }
-        let mut report = DetectionReport::default();
-        std::thread::scope(|scope| {
-            let shards: Vec<_> = ranges
-                .into_iter()
-                .map(|range| {
-                    let values = &values;
-                    scope.spawn(move || self.check_layers(values, range))
-                })
-                .collect();
-            for shard in shards {
-                report.merge(&shard.join().expect("detect shard worker panicked"));
-            }
-        });
         report
     }
 
@@ -485,8 +457,7 @@ impl RadarProtection {
     /// roll's pre-sign check all verify this way: no model instance is needed at all.
     ///
     /// `acc` is a caller-owned accumulator scratch, grown to the layer's group count
-    /// and never shrunk, so a caller sweeping many layers reuses one buffer (size it
-    /// with [`VerifyPlan::max_groups`] to cover every layer up front).
+    /// and never shrunk, so a caller sweeping many layers reuses one buffer.
     ///
     /// # Panics
     ///
@@ -499,17 +470,18 @@ impl RadarProtection {
         acc: &mut Vec<i32>,
     ) -> DetectionReport {
         let mut report = DetectionReport::default();
-        Self::check_layer(&self.current, layer, values, acc, &mut report);
+        self.current.check_layer(layer, values, acc, &mut report);
         report
     }
 
-    /// Fused fetch-and-verify of one layer under a *pinned* epoch: copies the
-    /// layer's raw DRAM bytes into `dst` (reinterpreted as `i8`, exactly as the
-    /// weight-fetch path does) while accumulating and checking the group
-    /// signatures in the same sweep. This is the snapshot build path's kernel: a
-    /// builder pins the epoch it saw when its fetch ticket came up, and a rotation
-    /// publish landing between pin and verify must not strand it (the pinned epoch
-    /// is then `previous` and still accepted).
+    /// Fetch-and-verify of one layer under a *pinned* epoch: copies the layer's raw
+    /// DRAM bytes into `dst` (reinterpreted as `i8`, exactly as the weight-fetch path
+    /// does), then checks the group signatures of the copy in one sweep over the
+    /// still-cache-hot `dst`. DRAM is read once, and the bytes verified are the bytes
+    /// the caller executes. This is the snapshot build path's kernel: a builder pins
+    /// the epoch it saw when its fetch ticket came up, and a rotation publish landing
+    /// between pin and verify must not strand it (the pinned epoch is then `previous`
+    /// and still accepted).
     ///
     /// An `epoch` that is no longer retained falls back to the current state (see
     /// [`accepts_epoch`](Self::accepts_epoch)) — fail-closed, never skip. `acc` is
@@ -527,88 +499,12 @@ impl RadarProtection {
         dst: &mut Vec<i8>,
         acc: &mut Vec<i32>,
     ) -> DetectionReport {
+        dst.clear();
+        dst.extend(src.iter().map(|&b| i8::from_ne_bytes([b])));
         let mut report = DetectionReport::default();
-        Self::check_layer_fused(self.epoch_state(epoch), layer, src, dst, acc, &mut report);
+        self.epoch_state(epoch)
+            .check_layer(layer, dst, acc, &mut report);
         report
-    }
-
-    /// Borrows every layer's raw values after checking `model` has the signed layer
-    /// count. Plain `&[i8]` slices are freely shared across scoped workers without
-    /// requiring anything of the model's float-side internals.
-    fn model_values<'m>(&self, model: &'m QuantizedModel) -> Vec<&'m [i8]> {
-        assert_eq!(
-            model.num_layers(),
-            self.current.layers.len(),
-            "model layer count changed since signing"
-        );
-        (0..model.num_layers())
-            .map(|i| model.layer_values(i))
-            .collect()
-    }
-
-    /// Checks `layers` of `values` against the current epoch with one accumulator
-    /// scratch — the loop behind [`detect`](Self::detect) and each
-    /// [`detect_parallel`](Self::detect_parallel) shard.
-    fn check_layers(&self, values: &[&[i8]], layers: Range<usize>) -> DetectionReport {
-        let mut acc = Vec::new();
-        let mut report = DetectionReport::default();
-        for layer in layers {
-            Self::check_layer(&self.current, layer, values[layer], &mut acc, &mut report);
-        }
-        report
-    }
-
-    /// Verifies one layer's raw weight values against one epoch's plan and store,
-    /// appending mismatches to `report` — the in-memory half of the verify core.
-    fn check_layer(
-        state: &EpochState,
-        layer_idx: usize,
-        values: &[i8],
-        acc: &mut Vec<i32>,
-        report: &mut DetectionReport,
-    ) {
-        let layer_plan = state.checked_plan(layer_idx, values.len(), acc);
-        layer_plan.accumulate(values, acc);
-        Self::compare_signatures(state, layer_idx, &acc[..layer_plan.num_groups()], report);
-    }
-
-    /// Fused fetch-and-verify of one layer from its raw DRAM bytes: copies the bytes
-    /// into `dst` *while* accumulating the masked group sums in one sweep
-    /// ([`LayerPlan::copy_accumulate`]), then compares the binarized signatures
-    /// against `state`'s golden store — the snapshot build path's one pass per layer
-    /// per batch.
-    fn check_layer_fused(
-        state: &EpochState,
-        layer_idx: usize,
-        src: &[u8],
-        dst: &mut Vec<i8>,
-        acc: &mut Vec<i32>,
-        report: &mut DetectionReport,
-    ) {
-        let layer_plan = state.checked_plan(layer_idx, src.len(), acc);
-        layer_plan.copy_accumulate(src, dst, acc);
-        Self::compare_signatures(state, layer_idx, &acc[..layer_plan.num_groups()], report);
-    }
-
-    /// Binarizes one layer's accumulated group sums `sums` and appends every group
-    /// whose signature differs from `state`'s golden store to `report` — the compare
-    /// half shared by [`check_layer`](Self::check_layer) and
-    /// [`check_layer_fused`](Self::check_layer_fused).
-    fn compare_signatures(
-        state: &EpochState,
-        layer_idx: usize,
-        sums: &[i32],
-        report: &mut DetectionReport,
-    ) {
-        let bits = state.plan.signature_bits();
-        for (group, &m) in sums.iter().enumerate() {
-            if binarize(m, bits) != state.golden.signature(layer_idx, group) {
-                report.flagged.push(FlaggedGroup {
-                    layer: layer_idx,
-                    group,
-                });
-            }
-        }
     }
 
     /// Resolves `epoch` to a retained epoch state. Unknown epochs (already
@@ -623,35 +519,6 @@ impl RadarProtection {
         } else {
             &self.current
         }
-    }
-
-    /// Splits the planned layers into at most `shards` contiguous ranges of roughly
-    /// equal total weight count (the unit of detect work is one weight).
-    fn shard_ranges(&self, shards: usize) -> Vec<Range<usize>> {
-        let total: usize = self.current.plan.layers().iter().map(LayerPlan::len).sum();
-        let num_layers = self.current.layers.len();
-        let shards = shards.clamp(1, num_layers.max(1));
-        let target = total.div_ceil(shards).max(1);
-        let mut ranges = Vec::with_capacity(shards);
-        let mut start = 0usize;
-        let mut in_shard = 0usize;
-        for (idx, plan) in self.current.plan.layers().iter().enumerate() {
-            in_shard += plan.len();
-            // Close the shard once it reached its weight target, keeping enough layers
-            // for the remaining shards to be non-empty.
-            if in_shard >= target && num_layers - idx > shards - ranges.len() - 1 {
-                ranges.push(start..idx + 1);
-                start = idx + 1;
-                in_shard = 0;
-                if ranges.len() == shards - 1 {
-                    break;
-                }
-            }
-        }
-        if start < num_layers {
-            ranges.push(start..num_layers);
-        }
-        ranges
     }
 
     /// The group a given weight belongs to under this protection's layout.
@@ -691,7 +558,7 @@ impl RadarProtection {
         self.recover_in(report, |layer, members| {
             let weights = model.layer_weights_mut(layer);
             for &idx in members {
-                weights.set_value(idx as usize, 0);
+                weights.set_value(idx, 0);
             }
         })
     }
@@ -712,7 +579,7 @@ impl RadarProtection {
     /// signature would survive into publication).
     pub fn recover_in<F>(&mut self, report: &DetectionReport, mut zero_group: F) -> RecoveryReport
     where
-        F: FnMut(usize, &[u32]),
+        F: FnMut(usize, &[usize]),
     {
         let mut recovery = RecoveryReport::default();
         let mut zeroed: std::collections::HashSet<FlaggedGroup> = std::collections::HashSet::new();
@@ -720,12 +587,10 @@ impl RadarProtection {
             if !zeroed.insert(*flagged) {
                 continue;
             }
-            let members = self
-                .current
-                .plan
-                .layer(flagged.layer)
-                .group_members(flagged.group);
-            zero_group(flagged.layer, members);
+            let members = self.current.layers[flagged.layer]
+                .layout
+                .members(flagged.group);
+            zero_group(flagged.layer, &members);
             // Re-sign the zeroed group: its masked sum is 0 whatever the key, so the
             // fresh signature is the binarization of zero at the configured width —
             // in every retained epoch store.
@@ -799,7 +664,7 @@ mod tests {
     fn verify_range(
         radar: &RadarProtection,
         m: &QuantizedModel,
-        layers: Range<usize>,
+        layers: std::ops::Range<usize>,
     ) -> DetectionReport {
         let (mut report, mut acc) = (DetectionReport::default(), Vec::new());
         for layer in layers {
@@ -951,17 +816,23 @@ mod tests {
     }
 
     #[test]
-    fn streaming_layer_signatures_match_golden_on_clean_model() {
+    fn golden_signatures_match_the_gather_oracle_on_a_clean_model() {
         let m = model();
-        let radar = RadarProtection::new(&m, RadarConfig::paper_default(16));
-        let bits = radar.config().signature_bits;
-        for layer in 0..m.num_layers() {
-            let sigs = radar
-                .plan()
-                .layer(layer)
-                .signatures(m.layer_values(layer), bits);
-            for (g, &sig) in sigs.iter().enumerate() {
-                assert_eq!(sig, radar.golden().signature(layer, g));
+        for cfg in [
+            RadarConfig::paper_default(16),
+            RadarConfig::without_interleave(64).with_three_bit_signature(),
+        ] {
+            let radar = RadarProtection::new(&m, cfg);
+            for (layer, protection) in radar.layers().iter().enumerate() {
+                let sigs = crate::gather_signatures(
+                    m.layer_values(layer),
+                    &protection.layout(),
+                    &protection.key(),
+                    cfg.signature_bits,
+                );
+                for (g, &sig) in sigs.iter().enumerate() {
+                    assert_eq!(sig, radar.golden().signature(layer, g), "{cfg:?}");
+                }
             }
         }
     }
@@ -1001,7 +872,7 @@ mod tests {
             assert_eq!(layer, 2);
             calls += 1;
             for &idx in members {
-                store[idx as usize] = 0;
+                store[idx] = 0;
             }
         });
         assert_eq!(calls, 1);
@@ -1108,81 +979,13 @@ mod tests {
         merged.merge(&verify_range(&radar, &m, 2..6));
         merged.merge(&verify_range(&radar, &m, 2..3));
         assert_eq!(merged, radar.detect(&m));
-        let reference_members = radar
-            .plan()
-            .layer(2)
-            .group_members(radar.group_of(2, 5))
+        let reference_members = radar.layers()[2]
+            .layout()
+            .members(radar.group_of(2, 5))
             .len();
         let recovery = radar.recover(&mut m, &merged);
         assert_eq!(recovery.groups_zeroed, 1);
         assert_eq!(recovery.weights_zeroed, reference_members);
-    }
-
-    #[test]
-    fn parallel_detect_matches_sequential_for_any_thread_count() {
-        let mut m = model();
-        let radar = RadarProtection::new(&m, RadarConfig::paper_default(32));
-        m.flip_bit(0, 1, MSB);
-        m.flip_bit(4, 9, MSB);
-        m.flip_bit(10, 3, MSB);
-        let sequential = radar.detect(&m);
-        assert!(sequential.attack_detected());
-        for threads in [1, 2, 3, 4, 7, 64] {
-            assert_eq!(
-                radar.detect_parallel(&m, threads),
-                sequential,
-                "{threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_detect_then_recover_matches_detect_and_recover() {
-        let mut a = model();
-        let mut b = model();
-        let mut radar_a = RadarProtection::new(&a, RadarConfig::paper_default(16));
-        let mut radar_b = RadarProtection::new(&b, RadarConfig::paper_default(16));
-        for &(layer, weight) in &[(1usize, 2usize), (6, 40), (12, 0)] {
-            a.flip_bit(layer, weight, MSB);
-            b.flip_bit(layer, weight, MSB);
-        }
-        let (report_a, recovery_a) = radar_a.detect_and_recover(&mut a);
-        let report_b = radar_b.detect_parallel(&b, 4);
-        let recovery_b = radar_b.recover(&mut b, &report_b);
-        assert_eq!(report_a, report_b);
-        assert_eq!(recovery_a, recovery_b);
-        assert_eq!(a.snapshot(), b.snapshot());
-        assert!(!radar_b.detect_parallel(&b, 4).attack_detected());
-    }
-
-    #[test]
-    fn shard_ranges_cover_all_layers_without_overlap() {
-        let m = model();
-        let radar = RadarProtection::new(&m, RadarConfig::paper_default(32));
-        let total_weights: usize = (0..m.num_layers()).map(|i| m.layer(i).len()).sum();
-        for threads in [1usize, 2, 3, 5, 8, 100] {
-            let ranges = radar.shard_ranges(threads);
-            assert!(!ranges.is_empty());
-            assert!(ranges.len() <= threads.min(m.num_layers()));
-            let mut next = 0usize;
-            let mut covered = 0usize;
-            for r in &ranges {
-                assert_eq!(r.start, next, "ranges must be contiguous");
-                assert!(r.end > r.start, "empty shard");
-                covered += (r.start..r.end).map(|i| m.layer(i).len()).sum::<usize>();
-                next = r.end;
-            }
-            assert_eq!(next, m.num_layers());
-            assert_eq!(covered, total_weights);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "thread count must be non-zero")]
-    fn detect_parallel_rejects_zero_threads() {
-        let m = model();
-        let radar = RadarProtection::new(&m, RadarConfig::paper_default(32));
-        radar.detect_parallel(&m, 0);
     }
 
     #[test]
@@ -1216,7 +1019,6 @@ mod tests {
         assert_eq!(radar.current_epoch(), KeyEpoch::new(1));
         assert_eq!(radar.previous_epoch(), Some(KeyEpoch::ZERO));
         assert_eq!(radar.golden().epoch(), KeyEpoch::new(1));
-        assert_eq!(radar.plan().epoch(), KeyEpoch::new(1));
 
         // Clean under the new epoch, under the retained previous epoch, and
         // after the previous epoch is retired.

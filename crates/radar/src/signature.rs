@@ -75,9 +75,9 @@ pub fn group_signature(weights: &[i8], key: &SecretKey, bits: SignatureBits) -> 
 /// members through [`GroupLayout::members`].
 ///
 /// This is the naive reference path: it re-derives the layout mapping and allocates a
-/// member list per group on every call. The streaming
-/// [`LayerPlan`](crate::LayerPlan) is the production detect path; this function is the
-/// single-sourced test oracle the plan is proven equivalent to (property tests).
+/// member list per group on every call. The storage-order sweep
+/// [`GroupLayout::masked_sums`] is the production path; this function is the
+/// single-sourced test oracle the sweep is proven equivalent to (property tests).
 ///
 /// # Panics
 ///

@@ -22,8 +22,8 @@ pub enum ExecPath {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FetchMode {
     /// One fused fetch-and-verify pass per batch builds a shared, epoch-pinned
-    /// `VerifiedSnapshot` (bytes copied out of DRAM *while* the masked group sums
-    /// accumulate), published as an `Arc` for
+    /// `VerifiedSnapshot` (bytes copied out of DRAM once, then verified while
+    /// cache-hot), published as an `Arc` for
     /// every consumer of the batch. Recovery refreshes happen in the build path
     /// before publish.
     #[default]

@@ -28,12 +28,12 @@ use crate::traffic::{Batch, Request, TrafficSchedule};
 ///   clock (the dispatched-batch count) that the adversary and scrubber key off;
 /// * `workers` **inference workers**, each owning one model replica in `models`.
 ///   The batch's ticket holder runs *one* fused fetch-and-verify pass — each
-///   layer's bytes are copied out of the shared [`WeightDram`] while the masked
-///   group sums accumulate (when `inpath_verify` is on) — recovers flagged groups
-///   in the image and in the snapshot before anyone reads it, and publishes the
-///   result as an epoch- and batch-stamped `Arc<VerifiedSnapshot>`. Inference runs
-///   `forward_with_values` straight off the shared `&[i8]` slices, with no
-///   worker-side mutation;
+///   layer's bytes are copied out of the shared [`WeightDram`] once and the
+///   still-cache-hot copy is verified (when `inpath_verify` is on) — recovers
+///   flagged groups in the image and in the snapshot before anyone reads it, and
+///   publishes the result as an epoch- and batch-stamped `Arc<VerifiedSnapshot>`.
+///   Inference runs `forward_with_values` straight off the shared `&[i8]` slices,
+///   with no worker-side mutation;
 /// * a background **scrubber** sweeping `scrub_layers` layers of the DRAM image every
 ///   `scrub_every` batches through
 ///   [`RadarProtection::verify_layer_values_with_scratch`], merging its findings
@@ -330,8 +330,8 @@ pub fn serve(
                         build = buffers;
                         shard.force_add(metric::SNAPSHOT_RECLAIMS, worker_labels.clone(), 1);
                     }
-                    // One fused pass per batch: bytes copied out of DRAM while the
-                    // masked group sums accumulate (a plain copy when in-path
+                    // One fused pass per batch: bytes copied out of DRAM once and
+                    // the cache-hot copy verified (a plain copy when in-path
                     // verification is off).
                     let timer = shard.span_start();
                     let mut checking = Duration::ZERO;

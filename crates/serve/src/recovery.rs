@@ -53,7 +53,7 @@ pub fn recover_in_dram_traced(
     }
     let recovery = radar.recover_in(&confirmed, |layer, members| {
         for &member in members {
-            dram.write(dram.offset_of(layer, member as usize), 0);
+            dram.write(dram.offset_of(layer, member), 0);
         }
     });
     // `confirmed` is merged (sorted, deduplicated), so this reports each zeroed

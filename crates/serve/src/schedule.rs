@@ -504,7 +504,7 @@ impl State {
         let recovered = if sc.mutation == Mutation::NoRecheck {
             let rec = prot.recover_in(report, |layer, members| {
                 for &member in members {
-                    dram.write(dram.offset_of(layer, member as usize), 0);
+                    dram.write(dram.offset_of(layer, member), 0);
                 }
             });
             for flagged in &report.flagged {

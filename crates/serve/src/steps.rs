@@ -27,12 +27,12 @@ use crate::recovery::recover_in_dram_traced;
 /// over the weight stream. With `prot` provided, each layer runs the fused kernel
 /// ([`RadarProtection::fetch_verify_layer_at_epoch_with_scratch`]) under the
 /// [`KeyEpoch`] the builder pinned at its fetch ticket: the bytes are copied out
-/// *while* the masked group sums accumulate, so the build sweeps the weight stream
-/// once instead of a copy pass plus a verify pass. A rotation publish landing
-/// between the pin and this call moves the pinned epoch into the protection's
-/// `{current, previous}` acceptance window; verification proceeds against the
-/// matching retained store either way. Without a protection the build is a plain
-/// per-layer copy.
+/// once and the masked group sums are taken over the still-cache-hot copy, so the
+/// build reads the weight stream from DRAM once instead of twice. A rotation
+/// publish landing between the pin and this call moves the pinned epoch into the
+/// protection's `{current, previous}` acceptance window; verification proceeds
+/// against the matching retained store either way. Without a protection the build
+/// is a plain per-layer copy.
 ///
 /// `layers` is resized to the layer count and refilled; capacities recycle across
 /// builds (the engine pools retired snapshot buffers). Returns the merged

@@ -24,14 +24,13 @@
 //! # Threading
 //!
 //! The two integer kernels split their M panels (or, when there are fewer rows than
-//! workers, their N panels) across `std::thread::scope` workers — the same pattern
-//! `radar-core`'s `detect_parallel` uses for layer shards. The count comes from the
-//! caller; [`gemm_threads`] resolves the `RADAR_GEMM_THREADS` environment knob (and
-//! an in-process override, [`set_gemm_threads`], used by the benchmarks). Every
-//! output element is computed by exactly one worker with the same accumulation order
-//! as the single-threaded kernel, and integer arithmetic is exact, so **threaded and
-//! single-threaded runs are bit-identical** — pinned by the property tests in
-//! `tests/gemm_equivalence.rs`.
+//! workers, their N panels) across `std::thread::scope` workers. The count comes
+//! from the caller; [`gemm_threads`] resolves the `RADAR_GEMM_THREADS` environment
+//! knob (and an in-process override, [`set_gemm_threads`], used by the benchmarks).
+//! Every output element is computed by exactly one worker with the same accumulation
+//! order as the single-threaded kernel, and integer arithmetic is exact, so
+//! **threaded and single-threaded runs are bit-identical** — pinned by the property
+//! tests in `tests/gemm_equivalence.rs`.
 //!
 //! # Summation order and equivalence guarantees
 //!

@@ -15,9 +15,8 @@
 //! let radar = RadarProtection::new(&model, RadarConfig::paper_default(64));
 //! assert!(radar.storage_bytes() > 0);
 //!
-//! // Signing compiled a streaming verification plan; the fetch path verifies one
-//! // layer at a time through it.
-//! assert_eq!(radar.plan().num_layers(), model.num_layers());
+//! // One key and group layout per layer; the fetch path verifies one layer at a time.
+//! assert_eq!(radar.layers().len(), model.num_layers());
 //! let mut acc = Vec::new();
 //! let report = radar.verify_layer_values_with_scratch(0, model.layer_values(0), &mut acc);
 //! assert!(!report.attack_detected());

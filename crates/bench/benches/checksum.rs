@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the RADAR signature primitive: the masked addition
-//! checksum and per-layer signing. Whole-model verify throughput (detect, split and
-//! fused fetch) is measured by the `bench_verify` binary.
+//! checksum and per-layer signing. Whole-model verify throughput (the fused
+//! fetch+verify sweep at paper width) is measured by the repository benchmark's
+//! `audit_r18` workload, as `core.verify_gbps`.
 
 // criterion_group! expands to undocumented glue functions.
 #![allow(missing_docs)]

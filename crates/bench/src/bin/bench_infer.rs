@@ -11,6 +11,7 @@
 //! fastest way to run the model.
 
 use radar_bench::experiments::infer::{bench_infer, InferBenchParams};
+use radar_bench::harness::write_artifact;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -21,7 +22,7 @@ fn main() {
     };
     let outcome = bench_infer(&params);
     outcome.report().print_and_save("bench_infer");
-    outcome.write_json();
+    write_artifact("BENCH_infer.json", &outcome.to_json());
 
     if smoke {
         let serve = outcome.serve_point();

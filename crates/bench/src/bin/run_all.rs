@@ -3,10 +3,10 @@
 //! much faster than the first run.
 
 use radar_bench::campaign::{self, ScenarioGrid};
-use radar_bench::experiments::{
-    characterize, detection, infer, knowledgeable, recovery, timing, verify,
+use radar_bench::experiments::{characterize, detection, infer, knowledgeable, recovery, timing};
+use radar_bench::harness::{
+    knob, parse_count, pbfa_profiles, prepare, write_artifact, Budget, ModelKind,
 };
-use radar_bench::harness::{knob, parse_count, pbfa_profiles, prepare, Budget, ModelKind};
 use radar_bench::serving;
 
 fn main() {
@@ -16,10 +16,9 @@ fn main() {
     // Platform-model experiments (cheap, no training needed).
     timing::table4().print_and_save("table4_time_overhead");
     timing::table5().print_and_save("table5_crc_comparison");
-    verify::bench_verify(&budget).print_and_save("bench_verify");
     let infer_outcome = infer::bench_infer(&infer::InferBenchParams::default_run());
     infer_outcome.report().print_and_save("bench_infer");
-    infer_outcome.write_json();
+    write_artifact("BENCH_infer.json", &infer_outcome.to_json());
     detection::missrate(knob("RADAR_MISSRATE_TRIALS", parse_count).unwrap_or(200_000))
         .print_and_save("missrate_toy_layer");
 
@@ -49,12 +48,12 @@ fn main() {
     let grid = ScenarioGrid::paper_grid(ModelKind::ResNet20Like, &budget);
     let outcome = campaign::run(&mut prepared, &grid);
     outcome.report().print_and_save("campaign");
-    outcome.write_json();
+    write_artifact("BENCH_campaign.json", &outcome.to_json());
 
     // The online-serving timeline: RADAR against live traffic (radar-serve engine).
     let serve_outcome = serving::run(&mut prepared, &serving::ServeBenchParams::default_run());
     serve_outcome.report().print_and_save("serve");
-    serve_outcome.write_json();
+    write_artifact("BENCH_serve.json", &serve_outcome.to_json());
 
     eprintln!("[run_all] done; reports are in artifacts/results/");
 }

@@ -12,7 +12,7 @@
 //! | `RADAR_CAMPAIGN_ROUNDS` | override rounds per cell | grid default |
 
 use radar_bench::campaign::{self, ScenarioGrid};
-use radar_bench::harness::{knob, one_of, parse_count, prepare, Budget, ModelKind};
+use radar_bench::harness::{knob, one_of, parse_count, prepare, write_artifact, Budget, ModelKind};
 
 fn main() {
     let budget = Budget::from_env();
@@ -37,5 +37,5 @@ fn main() {
     let mut prepared = prepare(kind, budget);
     let outcome = campaign::run(&mut prepared, &grid);
     outcome.report().print_and_save("campaign");
-    outcome.write_json();
+    write_artifact("BENCH_campaign.json", &outcome.to_json());
 }

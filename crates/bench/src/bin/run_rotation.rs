@@ -8,7 +8,7 @@
 //! traffic for a full roll). The usual [`Budget`] and `RADAR_SERVE_*` environment
 //! knobs apply.
 
-use radar_bench::harness::{prepare, Budget, ModelKind};
+use radar_bench::harness::{prepare, write_artifact, Budget, ModelKind};
 use radar_bench::rotation::{self, RotationBenchParams};
 
 fn main() {
@@ -30,5 +30,5 @@ fn main() {
     let mut prepared = prepare(kind, budget);
     let outcome = rotation::run(&mut prepared, &params);
     outcome.report().print_and_save("rotation");
-    outcome.write_json();
+    write_artifact("BENCH_rotation.json", &outcome.to_json());
 }

@@ -16,7 +16,7 @@
 //! | `RADAR_SERVE_BATCH` | maximum requests per batch | 8 |
 //! | `RADAR_SERVE_MODEL` | `resnet20` or `resnet18` | `resnet20` |
 
-use radar_bench::harness::{prepare, Budget, ModelKind};
+use radar_bench::harness::{prepare, write_artifact, Budget, ModelKind};
 use radar_bench::serving::{self, ServeBenchParams};
 
 fn main() {
@@ -39,7 +39,7 @@ fn main() {
     let mut prepared = prepare(kind, budget);
     let outcome = serving::run(&mut prepared, &params);
     outcome.report().print_and_save("serve");
-    outcome.write_json();
+    write_artifact("BENCH_serve.json", &outcome.to_json());
     if trace {
         serving::trace(&mut prepared, &params);
     }

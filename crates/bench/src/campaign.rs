@@ -23,7 +23,7 @@ use radar_attack::{
 use radar_core::{Grouping, RadarConfig, RadarProtection};
 use radar_data::Dataset;
 use radar_memsim::{DramGeometry, RowhammerInjector, WeightDram};
-use radar_obs::{Labels, MetricsRegistry, Stopwatch};
+use radar_obs::{JsonValue, Labels, MetricsRegistry, Stopwatch};
 use radar_quant::{QuantizedModel, WeightSnapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -325,61 +325,39 @@ impl CampaignOutcome {
         report
     }
 
-    /// Serializes the campaign as `artifacts/results/BENCH_campaign.json`
-    /// (hand-rolled: the workspace carries no JSON dependency).
-    pub fn write_json(&self) -> std::path::PathBuf {
-        let fmt_acc = |a: Option<f64>| a.map_or("null".to_owned(), |v| format!("{v:.4}"));
-        let cells: Vec<String> = self
+    /// The campaign as the `BENCH_campaign.json` document.
+    pub fn to_json(&self) -> JsonValue {
+        let cells: Vec<JsonValue> = self
             .cells
             .iter()
             .map(|c| {
-                format!(
-                    concat!(
-                        "    {{\"attack\": \"{}\", \"group_size\": {}, \"interleaved\": {}, ",
-                        "\"masking\": {}, \"signature_bits\": {}, \"seed\": {}, ",
-                        "\"rounds\": {}, \"avg_flips\": {:.4}, \"avg_flips_detected\": {:.4}, ",
-                        "\"detection_rate\": {:.4}, \"avg_groups_flagged\": {:.4}, ",
-                        "\"avg_groups_zeroed\": {:.4}, \"avg_weights_zeroed\": {:.4}, ",
-                        "\"accuracy_attacked_percent\": {}, \"accuracy_recovered_percent\": {}, ",
-                        "\"wall_seconds\": {:.6}}}"
-                    ),
-                    c.attack,
-                    c.group_size,
-                    c.interleaved,
-                    c.masking,
-                    c.signature_bits,
-                    c.seed,
-                    c.rounds,
-                    c.avg_flips,
-                    c.avg_flips_detected,
-                    c.detection_rate,
-                    c.avg_groups_flagged,
-                    c.avg_groups_zeroed,
-                    c.avg_weights_zeroed,
-                    fmt_acc(c.accuracy_attacked),
-                    fmt_acc(c.accuracy_recovered),
-                    c.wall_seconds,
-                )
+                JsonValue::object()
+                    .with("attack", c.attack.as_str())
+                    .with("group_size", c.group_size)
+                    .with("interleaved", c.interleaved)
+                    .with("masking", c.masking)
+                    .with("signature_bits", c.signature_bits)
+                    .with("seed", c.seed)
+                    .with("rounds", c.rounds)
+                    .with("avg_flips", c.avg_flips)
+                    .with("avg_flips_detected", c.avg_flips_detected)
+                    .with("detection_rate", c.detection_rate)
+                    .with("avg_groups_flagged", c.avg_groups_flagged)
+                    .with("avg_groups_zeroed", c.avg_groups_zeroed)
+                    .with("avg_weights_zeroed", c.avg_weights_zeroed)
+                    .with("accuracy_attacked_percent", c.accuracy_attacked)
+                    .with("accuracy_recovered_percent", c.accuracy_recovered)
+                    .with("wall_seconds", c.wall_seconds)
             })
             .collect();
-        let json = format!(
-            concat!(
-                "{{\n  \"model\": \"{}\",\n  \"clean_accuracy_percent\": {:.4},\n",
-                "  \"threads\": {},\n  \"rounds\": {},\n  \"eval_samples\": {},\n",
-                "  \"total_wall_seconds\": {:.6},\n  \"cells\": [\n{}\n  ]\n}}\n"
-            ),
-            self.model,
-            self.clean_accuracy,
-            self.threads,
-            self.rounds,
-            self.eval_samples,
-            self.total_seconds,
-            cells.join(",\n")
-        );
-        let path = artifacts_dir().join("results").join("BENCH_campaign.json");
-        std::fs::write(&path, json).expect("artifact results directory is writable");
-        eprintln!("[campaign] wrote {}", path.display());
-        path
+        JsonValue::object()
+            .with("model", self.model.as_str())
+            .with("clean_accuracy_percent", self.clean_accuracy)
+            .with("threads", self.threads)
+            .with("rounds", self.rounds)
+            .with("eval_samples", self.eval_samples)
+            .with("total_wall_seconds", self.total_seconds)
+            .with("cells", cells)
     }
 }
 
@@ -793,9 +771,8 @@ mod tests {
         assert_eq!(set.len(), labels.len());
     }
 
-    #[test]
-    fn find_matches_on_attack_group_and_interleave() {
-        let outcome = CampaignOutcome {
+    fn one_cell_outcome(seed: u64) -> CampaignOutcome {
+        CampaignOutcome {
             model: "resnet20".into(),
             clean_accuracy: 50.0,
             threads: 1,
@@ -808,7 +785,7 @@ mod tests {
                 interleaved: true,
                 masking: true,
                 signature_bits: 2,
-                seed: 1,
+                seed,
                 rounds: 1,
                 avg_flips: 10.0,
                 avg_flips_detected: 9.0,
@@ -817,15 +794,42 @@ mod tests {
                 avg_groups_zeroed: 9.0,
                 avg_weights_zeroed: 144.0,
                 accuracy_attacked: None,
-                accuracy_recovered: None,
+                accuracy_recovered: Some(71.25),
                 wall_seconds: 0.1,
             }],
             metrics: Vec::new(),
-        };
+        }
+    }
+
+    #[test]
+    fn find_matches_on_attack_group_and_interleave() {
+        let outcome = one_cell_outcome(1);
         let spec = AttackSpec::Pbfa { n_bits: 10 };
         assert!(outcome.find(&spec, 16, true).is_some());
         assert!(outcome.find(&spec, 16, false).is_none());
         assert!(outcome.find(&spec, 32, true).is_none());
         assert!(outcome.find(&AttackSpec::Knowledgeable, 16, true).is_none());
+    }
+
+    #[test]
+    fn artifact_keeps_cell_seeds_exact() {
+        // Grid seeds use the full 64 bits; an f64 would round them.
+        let seed = ScenarioGrid::smoke(ModelKind::ResNet20Like, &budget()).cells()[0].seed;
+        assert!(seed > 1 << 53);
+        let doc = JsonValue::parse(&one_cell_outcome(seed).to_json().render()).expect("parses");
+        let cell = &doc
+            .get("cells")
+            .and_then(JsonValue::as_array)
+            .expect("cells")[0];
+        assert_eq!(cell.get("seed"), Some(&JsonValue::Int(seed)));
+        assert_eq!(
+            cell.get("accuracy_attacked_percent"),
+            Some(&JsonValue::Null)
+        );
+        assert_eq!(
+            cell.get("accuracy_recovered_percent")
+                .and_then(JsonValue::as_f64),
+            Some(71.25)
+        );
     }
 }

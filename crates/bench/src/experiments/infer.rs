@@ -18,18 +18,16 @@
 //! thread count loses to the single-threaded float path — CI's regression gate for
 //! the integer kernels.
 
-use std::path::PathBuf;
-
 use radar_memsim::{DramGeometry, WeightDram};
 use radar_nn::{resnet20, ResNetConfig};
-use radar_obs::{set_global_level, ObsLevel, Stopwatch};
+use radar_obs::{set_global_level, JsonValue, ObsLevel, Stopwatch};
 use radar_quant::QuantizedModel;
 use radar_serve::ServeConfig;
-use radar_tensor::{set_gemm_threads, Tensor, GEMM_CALLS, GEMM_PANELS};
+use radar_tensor::{parse_gemm_threads, set_gemm_threads, Tensor, GEMM_CALLS, GEMM_PANELS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::harness::{artifacts_dir, knob, parse_counts};
+use crate::harness::knob;
 use crate::report::Report;
 
 /// Sizing of one inference benchmark run.
@@ -61,8 +59,8 @@ impl InferBenchParams {
 }
 
 /// The GEMM worker counts to sweep: `RADAR_GEMM_THREADS` parsed as a
-/// comma-separated list, with `1` (the bit-identical fallback) always included
-/// first. Unset → `[1]`.
+/// comma-separated list ([`parse_gemm_threads`]), with `1` (the bit-identical
+/// fallback) always included first. Unset → `[1]`.
 ///
 /// # Panics
 ///
@@ -70,7 +68,7 @@ impl InferBenchParams {
 /// non-negative integers.
 pub fn thread_axis() -> Vec<usize> {
     let mut axis = vec![1usize];
-    for t in knob("RADAR_GEMM_THREADS", parse_counts).unwrap_or_default() {
+    for t in knob("RADAR_GEMM_THREADS", parse_gemm_threads).unwrap_or_default() {
         if t > 1 && !axis.contains(&t) {
             axis.push(t);
         }
@@ -299,65 +297,38 @@ impl InferBenchOutcome {
         report
     }
 
-    /// Serializes the measurement as `artifacts/results/BENCH_infer.json`
-    /// (hand-rolled: the workspace carries no JSON dependency).
-    pub fn write_json(&self) -> PathBuf {
-        let points: Vec<String> = self
+    /// The measurement as the `BENCH_infer.json` document.
+    pub fn to_json(&self) -> JsonValue {
+        let points: Vec<JsonValue> = self
             .points
             .iter()
             .map(|p| {
-                let native: Vec<String> = p
+                let native: Vec<JsonValue> = p
                     .native
                     .iter()
                     .map(|n| {
-                        format!(
-                            concat!(
-                                "      {{\"threads\": {}, \"seconds\": {:.9}, ",
-                                "\"speedup\": {:.4}}}"
-                            ),
-                            n.threads,
-                            n.seconds,
-                            p.speedup_at(n)
-                        )
+                        JsonValue::object()
+                            .with("threads", n.threads)
+                            .with("seconds", n.seconds)
+                            .with("speedup", p.speedup_at(n))
                     })
                     .collect();
-                format!(
-                    concat!(
-                        "    {{\"name\": \"{}\", \"batch\": {}, ",
-                        "\"float_seconds\": {:.9}, \"gemm_calls\": {}, ",
-                        "\"gemm_panels\": {}, \"native\": [\n{}\n    ]}}"
-                    ),
-                    p.name,
-                    p.batch,
-                    p.float_seconds,
-                    p.gemm_calls,
-                    p.gemm_panels,
-                    native.join(",\n")
-                )
+                JsonValue::object()
+                    .with("name", p.name)
+                    .with("batch", p.batch)
+                    .with("float_seconds", p.float_seconds)
+                    .with("gemm_calls", p.gemm_calls)
+                    .with("gemm_panels", p.gemm_panels)
+                    .with("native", native)
             })
             .collect();
-        let threads: Vec<String> = self
-            .threads
-            .iter()
-            .map(std::string::ToString::to_string)
-            .collect();
-        let json = format!(
-            concat!(
-                "{{\n  \"model\": \"{}\",\n  \"total_weights\": {},\n",
-                "  \"image_size\": {},\n  \"iters\": {},\n  \"threads\": [{}],\n",
-                "  \"points\": [\n{}\n  ]\n}}\n"
-            ),
-            self.model,
-            self.total_weights,
-            self.params.image_size,
-            self.params.iters,
-            threads.join(", "),
-            points.join(",\n")
-        );
-        let path = artifacts_dir().join("results").join("BENCH_infer.json");
-        std::fs::write(&path, json).expect("artifact results directory is writable");
-        eprintln!("[bench_infer] wrote {}", path.display());
-        path
+        JsonValue::object()
+            .with("model", self.model.as_str())
+            .with("total_weights", self.total_weights)
+            .with("image_size", self.params.image_size)
+            .with("iters", self.params.iters)
+            .with("threads", self.threads.clone())
+            .with("points", points)
     }
 }
 

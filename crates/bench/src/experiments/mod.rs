@@ -7,4 +7,3 @@ pub mod infer;
 pub mod knowledgeable;
 pub mod recovery;
 pub mod timing;
-pub mod verify;

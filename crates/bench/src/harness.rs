@@ -9,6 +9,7 @@ use radar_data::{Dataset, SyntheticSpec};
 use radar_nn::{
     load_params, resnet18, resnet20, save_params, Adam, ResNetConfig, Sequential, Trainer,
 };
+use radar_obs::JsonValue;
 use radar_quant::QuantizedModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -95,7 +96,6 @@ impl ModelKind {
 /// | `RADAR_NBF` | bit flips per PBFA round | 10 |
 /// | `RADAR_EVAL_SAMPLES` | test samples used for accuracy numbers | 400 |
 /// | `RADAR_ATTACK_BATCH` | attacker batch size | 16 |
-/// | `RADAR_VERIFY_ITERS` | timed passes per point in the verification bench | 20 |
 /// | `RADAR_THREADS` | worker threads for the campaign engine | available cores |
 ///
 /// Every variable is read through [`knob`]: an unset variable keeps its default, and a
@@ -112,9 +112,6 @@ pub struct Budget {
     pub eval_samples: usize,
     /// Attacker batch size.
     pub attack_batch: usize,
-    /// Timed full-model verification passes per measured point in the
-    /// detect-throughput experiment (`bench_verify`).
-    pub verify_iters: usize,
     /// Worker threads used by the scenario-campaign engine.
     pub threads: usize,
 }
@@ -127,7 +124,6 @@ impl Default for Budget {
             n_bits: 10,
             eval_samples: 400,
             attack_batch: 16,
-            verify_iters: 20,
             threads: default_threads(),
         }
     }
@@ -154,7 +150,6 @@ impl Budget {
             n_bits: get("RADAR_NBF", d.n_bits),
             eval_samples: get("RADAR_EVAL_SAMPLES", d.eval_samples),
             attack_batch: get("RADAR_ATTACK_BATCH", d.attack_batch),
-            verify_iters: get("RADAR_VERIFY_ITERS", d.verify_iters),
             threads: get("RADAR_THREADS", d.threads).max(1),
         }
     }
@@ -189,15 +184,6 @@ pub fn parse_count(raw: &str) -> Result<usize, String> {
         .map_err(|e| format!("expected a non-negative integer ({e})"))
 }
 
-/// Parses a list knob's value: comma-separated [`parse_count`] entries.
-///
-/// # Errors
-///
-/// Returns why the first malformed entry was rejected.
-pub fn parse_counts(raw: &str) -> Result<Vec<usize>, String> {
-    raw.split(',').map(parse_count).collect()
-}
-
 /// Accepts `raw` only if it is one of `accepted`.
 ///
 /// # Errors
@@ -217,6 +203,20 @@ pub fn artifacts_dir() -> PathBuf {
     let dir = std::env::var("RADAR_ARTIFACTS").unwrap_or_else(|_| "artifacts".to_owned());
     let path = PathBuf::from(dir);
     std::fs::create_dir_all(path.join("results")).expect("artifacts directory is writable");
+    path
+}
+
+/// Writes `json` as one line to `artifacts/results/<file>` and returns the path.
+///
+/// # Panics
+///
+/// Panics when the results directory is not writable.
+pub fn write_artifact(file: &str, json: &JsonValue) -> PathBuf {
+    let path = artifacts_dir().join("results").join(file);
+    let mut text = json.render();
+    text.push('\n');
+    std::fs::write(&path, text).expect("artifact results directory is writable");
+    eprintln!("[harness] wrote {}", path.display());
     path
 }
 
@@ -380,7 +380,6 @@ mod tests {
         assert_eq!(b.rounds, 8);
         assert_eq!(b.n_bits, 10);
         assert!(b.eval_samples >= 100);
-        assert_eq!(b.verify_iters, 20);
         assert!(b.threads >= 1);
     }
 
@@ -390,11 +389,6 @@ mod tests {
         assert_eq!(parse_count("3"), Ok(3));
         for bad in ["", "x", "-1", " 2", "+3", "2,4", "99999999999999999999999"] {
             assert!(parse_count(bad).is_err(), "{bad:?} must be rejected");
-        }
-        assert_eq!(parse_counts("2,4"), Ok(vec![2, 4]));
-        assert_eq!(parse_counts("3"), Ok(vec![3]));
-        for bad in ["", "2,", "2, 4", "2,x"] {
-            assert!(parse_counts(bad).is_err(), "{bad:?} must be rejected");
         }
     }
 

@@ -18,15 +18,13 @@
 //!
 //! See the `run_rotation` binary (`--smoke` for the CI-sized timeline).
 
-use std::path::PathBuf;
-
 use radar_attack::{apply_msb_flip, evasion_pair, AttackProfile, KeyLearner, KeyObservation};
 use radar_core::{group_signature, KeyEpoch, KeySchedule, RadarConfig, RadarProtection, KEY_BITS};
 use radar_memsim::{AttackTimeline, DramGeometry, MountEvent, RowhammerInjector, WeightDram};
-use radar_obs::{Labels, MetricsRegistry, Stopwatch};
+use radar_obs::{JsonValue, Labels, MetricsRegistry, Stopwatch};
 use radar_serve::{serve, ServeConfig, ServeOutcome, TrafficSchedule};
 
-use crate::harness::{artifacts_dir, fresh_model, pbfa_profiles, Prepared};
+use crate::harness::{fresh_model, pbfa_profiles, Prepared};
 use crate::report::Report;
 
 /// Sizing of one rotation benchmark run.
@@ -403,92 +401,71 @@ impl RotationBenchOutcome {
         report
     }
 
-    /// Serializes the benchmark as `artifacts/results/BENCH_rotation.json`
-    /// (hand-rolled: the workspace carries no JSON dependency).
-    pub fn write_json(&self) -> PathBuf {
-        let learning: Vec<String> = self
+    /// The benchmark as the `BENCH_rotation.json` document.
+    pub fn to_json(&self) -> JsonValue {
+        let learning: Vec<JsonValue> = self
             .learning
             .iter()
             .map(|l| {
-                let bits = l
-                    .recovered_bits
-                    .map_or("null".to_owned(), |b| format!("\"{b:04x}\""));
-                format!(
-                    concat!(
-                        "    {{\"layer\": {}, \"groups_observed\": {}, \"candidates\": {}, ",
-                        "\"recovered\": {}, \"recovered_key_bits\": {}, \"pair_found\": {}, ",
-                        "\"evaded_static\": {}, \"caught_rotated\": {}}}"
-                    ),
-                    l.layer,
-                    l.groups_observed,
-                    l.candidates,
-                    l.recovered,
-                    bits,
-                    l.pair_found,
-                    l.evaded_static,
-                    l.caught_rotated,
-                )
+                JsonValue::object()
+                    .with("layer", l.layer)
+                    .with("groups_observed", l.groups_observed)
+                    .with("candidates", l.candidates)
+                    .with("recovered", l.recovered)
+                    .with(
+                        "recovered_key_bits",
+                        l.recovered_bits.map(|b| format!("{b:04x}")),
+                    )
+                    .with("pair_found", l.pair_found)
+                    .with("evaded_static", l.evaded_static)
+                    .with("caught_rotated", l.caught_rotated)
             })
             .collect();
-        let scenarios: Vec<String> = self
+        let scenarios: Vec<JsonValue> = self
             .scenarios
             .iter()
             .map(|s| {
                 let o = &s.outcome;
-                let ttd = match &o.time_to_detect {
-                    None => "null".to_owned(),
-                    Some(t) => format!(
-                        "{{\"batches\": {}, \"requests\": {}, \"via_scrub\": {}}}",
-                        t.batches, t.requests, t.via_scrub
-                    ),
-                };
-                format!(
-                    concat!(
-                        "    {{\"name\": \"{}\", \"rotate_every\": {}, ",
-                        "\"epochs_published\": {}, \"rotation_events\": {}, ",
-                        "\"requests\": {}, \"batches\": {}, \"time_to_detect\": {}, ",
-                        "\"recovery\": {{\"groups_zeroed\": {}, \"weights_zeroed\": {}}}, ",
-                        "\"served_accuracy_percent\": {:.4}, ",
-                        "\"min_window_accuracy_percent\": {:.4}, ",
-                        "\"latency_ms\": {{\"p50\": {:.4}, \"p99\": {:.4}}}}}"
-                    ),
-                    s.name,
-                    s.rotate_every,
-                    s.epochs_published,
-                    s.rotation_events,
-                    o.requests,
-                    o.batches,
-                    ttd,
-                    o.recovery.groups_zeroed,
-                    o.recovery.weights_zeroed,
-                    o.overall_percent(),
-                    o.min_window_percent(),
-                    o.latency.quantile_ns(0.5) / 1e6,
-                    o.latency.quantile_ns(0.99) / 1e6,
-                )
+                let ttd = o.time_to_detect.map(|t| {
+                    JsonValue::object()
+                        .with("batches", t.batches)
+                        .with("requests", t.requests)
+                        .with("via_scrub", t.via_scrub)
+                });
+                JsonValue::object()
+                    .with("name", s.name)
+                    .with("rotate_every", s.rotate_every)
+                    .with("epochs_published", s.epochs_published)
+                    .with("rotation_events", s.rotation_events)
+                    .with("requests", o.requests)
+                    .with("batches", o.batches)
+                    .with("time_to_detect", ttd)
+                    .with(
+                        "recovery",
+                        JsonValue::object()
+                            .with("groups_zeroed", o.recovery.groups_zeroed)
+                            .with("weights_zeroed", o.recovery.weights_zeroed),
+                    )
+                    .with("served_accuracy_percent", o.overall_percent())
+                    .with("min_window_accuracy_percent", o.min_window_percent())
+                    .with(
+                        "latency_ms",
+                        JsonValue::object()
+                            .with("p50", o.latency.quantile_ns(0.5) / 1e6)
+                            .with("p99", o.latency.quantile_ns(0.99) / 1e6),
+                    )
             })
             .collect();
-        let json = format!(
-            concat!(
-                "{{\n  \"model\": \"{}\",\n  \"group_size\": {},\n  \"key_bits\": {},\n",
-                "  \"n_flips\": {},\n  \"requests\": {},\n  \"attack_at_batch\": {},\n",
-                "  \"deterministic_replay\": {},\n",
-                "  \"key_learning\": [\n{}\n  ],\n  \"scenarios\": [\n{}\n  ]\n}}\n"
-            ),
-            self.model,
-            self.group_size,
-            KEY_BITS,
-            self.n_flips,
-            self.requests,
-            self.attack_at_batch,
-            self.deterministic_replay,
-            learning.join(",\n"),
-            scenarios.join(",\n"),
-        );
-        let path = artifacts_dir().join("results").join("BENCH_rotation.json");
-        std::fs::write(&path, json).expect("artifact results directory is writable");
-        eprintln!("[rotation] wrote {}", path.display());
-        path
+        JsonValue::object()
+            .with("model", self.model.as_str())
+            .with("group_size", self.group_size)
+            .with("key_bits", KEY_BITS)
+            .with("n_flips", self.n_flips)
+            .with("requests", self.requests)
+            .with("attack_at_batch", self.attack_at_batch)
+            .with("deterministic_replay", self.deterministic_replay)
+            .with("key_learning", learning)
+            .with("scenarios", scenarios)
     }
 }
 

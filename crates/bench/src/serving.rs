@@ -20,10 +20,10 @@ use std::path::PathBuf;
 use radar_attack::AttackProfile;
 use radar_core::{RadarConfig, RadarProtection};
 use radar_memsim::{AttackTimeline, DramGeometry, MountEvent, RowhammerInjector, WeightDram};
-use radar_obs::{chrome_trace, validate_chrome_trace, ObsLevel};
-use radar_serve::{serve, AttackSummary, ServeConfig, ServeOutcome, TimeToDetect, TrafficSchedule};
+use radar_obs::{chrome_trace, validate_chrome_trace, JsonValue, ObsLevel};
+use radar_serve::{serve, ServeConfig, ServeOutcome, TrafficSchedule};
 
-use crate::harness::{artifacts_dir, fresh_model, pbfa_profiles, Prepared};
+use crate::harness::{fresh_model, pbfa_profiles, write_artifact, Prepared};
 use crate::report::Report;
 
 /// Sizing of one serving benchmark run.
@@ -262,7 +262,7 @@ pub fn trace(prepared: &mut Prepared, params: &ServeBenchParams) -> PathBuf {
     );
 
     let trace = chrome_trace(&outcome.obs, "radar-serve traced");
-    let summary = validate_chrome_trace(&trace).expect("own trace export must validate");
+    let summary = validate_chrome_trace(&trace.render()).expect("own trace export must validate");
     for w in 0..cfg.workers {
         let row = format!("worker-{w}");
         assert!(
@@ -279,15 +279,11 @@ pub fn trace(prepared: &mut Prepared, params: &ServeBenchParams) -> PathBuf {
         );
     }
 
-    let path = artifacts_dir().join("results").join("TRACE_serve.json");
-    std::fs::write(&path, trace).expect("artifact results directory is writable");
     eprintln!(
-        "[serve] wrote {} ({} spans, {} instants)",
-        path.display(),
-        summary.total_spans,
-        summary.total_instants
+        "[serve] trace: {} spans, {} instants",
+        summary.total_spans, summary.total_instants
     );
-    path
+    write_artifact("TRACE_serve.json", &trace)
 }
 
 impl ServeBenchOutcome {
@@ -339,116 +335,86 @@ impl ServeBenchOutcome {
         report
     }
 
-    /// Serializes the campaign as `artifacts/results/BENCH_serve.json` (hand-rolled:
-    /// the workspace carries no JSON dependency).
-    pub fn write_json(&self) -> PathBuf {
-        let attack_json = |a: &Option<AttackSummary>| match a {
-            None => "null".to_owned(),
-            Some(a) => format!(
-                concat!(
-                    "{{\"strikes\": {}, \"first_batch\": {}, \"flips_attempted\": {}, ",
-                    "\"flips_landed\": {}, \"rows_hammered\": {}}}"
-                ),
-                a.strikes,
-                a.first_batch,
-                a.mount.flips_attempted(),
-                a.mount.flips_landed,
-                a.mount.rows_hammered,
-            ),
-        };
-        let ttd_json = |t: &Option<TimeToDetect>| match t {
-            None => "null".to_owned(),
-            Some(t) => format!(
-                concat!(
-                    "{{\"batches\": {}, \"requests\": {}, \"seconds\": {:.6}, ",
-                    "\"via_scrub\": {}}}"
-                ),
-                t.batches, t.requests, t.seconds, t.via_scrub,
-            ),
-        };
-        let scenarios: Vec<String> = self
+    /// The serving campaign as the `BENCH_serve.json` document.
+    pub fn to_json(&self) -> JsonValue {
+        let scenarios: Vec<JsonValue> = self
             .scenarios
             .iter()
             .map(|s| {
                 let o = &s.outcome;
-                let windows: Vec<String> = o
+                let ms = |q: f64| o.latency.quantile_ns(q) / 1e6;
+                let attack = o.attack.as_ref().map(|a| {
+                    JsonValue::object()
+                        .with("strikes", a.strikes)
+                        .with("first_batch", a.first_batch)
+                        .with("flips_attempted", a.mount.flips_attempted())
+                        .with("flips_landed", a.mount.flips_landed)
+                        .with("rows_hammered", a.mount.rows_hammered)
+                });
+                let ttd = o.time_to_detect.map(|t| {
+                    JsonValue::object()
+                        .with("batches", t.batches)
+                        .with("requests", t.requests)
+                        .with("seconds", t.seconds)
+                        .with("via_scrub", t.via_scrub)
+                });
+                let windows: Vec<JsonValue> = o
                     .windows
                     .iter()
                     .map(|w| {
-                        format!(
-                            "{{\"start\": {}, \"end\": {}, \"accuracy_percent\": {:.4}}}",
-                            w.start,
-                            w.end,
-                            w.percent()
-                        )
+                        JsonValue::object()
+                            .with("start", w.start)
+                            .with("end", w.end)
+                            .with("accuracy_percent", w.percent())
                     })
                     .collect();
-                format!(
-                    concat!(
-                        "    {{\"name\": \"{}\", \"inpath_verify\": {}, \"scrub\": {}, ",
-                        "\"protected\": {}, \"requests\": {}, \"batches\": {}, ",
-                        "\"wall_seconds\": {:.6}, \"throughput_rps\": {:.2}, ",
-                        "\"latency_ms\": {{\"p50\": {:.4}, \"p90\": {:.4}, \"p99\": {:.4}, ",
-                        "\"mean\": {:.4}, \"max\": {:.4}}}, ",
-                        "\"verify_duty\": {:.6}, \"scrub_duty\": {:.6}, ",
-                        "\"attack\": {}, \"time_to_detect\": {}, ",
-                        "\"recovery\": {{\"groups_zeroed\": {}, \"weights_zeroed\": {}}}, ",
-                        "\"served_accuracy_percent\": {:.4}, ",
-                        "\"min_window_accuracy_percent\": {:.4}, ",
-                        "\"final_window_accuracy_percent\": {:.4}, ",
-                        "\"served_accuracy_windows\": [{}]}}"
-                    ),
-                    s.name,
-                    s.inpath_verify,
-                    s.scrub,
-                    s.protected,
-                    o.requests,
-                    o.batches,
-                    o.wall_seconds,
-                    o.throughput_rps,
-                    o.latency.quantile_ns(0.5) / 1e6,
-                    o.latency.quantile_ns(0.9) / 1e6,
-                    o.latency.quantile_ns(0.99) / 1e6,
-                    o.latency.mean_ns() / 1e6,
-                    o.latency.max_ns() as f64 / 1e6,
-                    o.verify_duty,
-                    o.scrub_duty,
-                    attack_json(&o.attack),
-                    ttd_json(&o.time_to_detect),
-                    o.recovery.groups_zeroed,
-                    o.recovery.weights_zeroed,
-                    o.overall_percent(),
-                    o.min_window_percent(),
-                    o.final_window_percent(),
-                    windows.join(", "),
-                )
+                JsonValue::object()
+                    .with("name", s.name)
+                    .with("inpath_verify", s.inpath_verify)
+                    .with("scrub", s.scrub)
+                    .with("protected", s.protected)
+                    .with("requests", o.requests)
+                    .with("batches", o.batches)
+                    .with("wall_seconds", o.wall_seconds)
+                    .with("throughput_rps", o.throughput_rps)
+                    .with(
+                        "latency_ms",
+                        JsonValue::object()
+                            .with("p50", ms(0.5))
+                            .with("p90", ms(0.9))
+                            .with("p99", ms(0.99))
+                            .with("mean", o.latency.mean_ns() / 1e6)
+                            .with("max", o.latency.max_ns() as f64 / 1e6),
+                    )
+                    .with("verify_duty", o.verify_duty)
+                    .with("scrub_duty", o.scrub_duty)
+                    .with("attack", attack)
+                    .with("time_to_detect", ttd)
+                    .with(
+                        "recovery",
+                        JsonValue::object()
+                            .with("groups_zeroed", o.recovery.groups_zeroed)
+                            .with("weights_zeroed", o.recovery.weights_zeroed),
+                    )
+                    .with("served_accuracy_percent", o.overall_percent())
+                    .with("min_window_accuracy_percent", o.min_window_percent())
+                    .with("final_window_accuracy_percent", o.final_window_percent())
+                    .with("served_accuracy_windows", windows)
             })
             .collect();
-        let json = format!(
-            concat!(
-                "{{\n  \"model\": \"{}\",\n  \"clean_accuracy_percent\": {:.4},\n",
-                "  \"workers\": {},\n  \"max_batch\": {},\n  \"queue_capacity\": {},\n",
-                "  \"scrub_every\": {},\n  \"scrub_layers\": {},\n",
-                "  \"window_requests\": {},\n  \"group_size\": {},\n  \"n_flips\": {},\n",
-                "  \"attack_at_batch\": {},\n  \"scenarios\": [\n{}\n  ]\n}}\n"
-            ),
-            self.model,
-            self.clean_accuracy,
-            self.config.workers,
-            self.config.max_batch,
-            self.config.queue_capacity,
-            self.config.scrub_every,
-            self.config.scrub_layers,
-            self.config.window,
-            self.group_size,
-            self.n_flips,
-            self.attack_at_batch,
-            scenarios.join(",\n")
-        );
-        let path = artifacts_dir().join("results").join("BENCH_serve.json");
-        std::fs::write(&path, json).expect("artifact results directory is writable");
-        eprintln!("[serve] wrote {}", path.display());
-        path
+        JsonValue::object()
+            .with("model", self.model.as_str())
+            .with("clean_accuracy_percent", self.clean_accuracy)
+            .with("workers", self.config.workers)
+            .with("max_batch", self.config.max_batch)
+            .with("queue_capacity", self.config.queue_capacity)
+            .with("scrub_every", self.config.scrub_every)
+            .with("scrub_layers", self.config.scrub_layers)
+            .with("window_requests", self.config.window)
+            .with("group_size", self.group_size)
+            .with("n_flips", self.n_flips)
+            .with("attack_at_batch", self.attack_at_batch)
+            .with("scenarios", scenarios)
     }
 }
 

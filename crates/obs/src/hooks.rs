@@ -77,26 +77,6 @@ impl ObsShard {
         self.registry.add_counter(name, labels, n);
     }
 
-    /// Sets the gauge at `(name, labels)` to `value` at logical sequence `seq`.
-    /// Off/gated: one branch.
-    #[inline]
-    pub fn set_gauge(&mut self, name: &'static str, labels: Labels, seq: u64, value: f64) {
-        if !self.level.counters_on() {
-            return;
-        }
-        self.registry.set_gauge(name, labels, seq, value);
-    }
-
-    /// Records `value` at logical sequence `seq` into the rolling window at
-    /// `(name, labels)`. Off/gated: one branch.
-    #[inline]
-    pub fn observe(&mut self, name: &'static str, labels: Labels, seq: u64, value: f64) {
-        if !self.level.counters_on() {
-            return;
-        }
-        self.registry.observe(name, labels, seq, value);
-    }
-
     /// Records a nanosecond sample into the histogram at `(name, labels)`.
     /// Off/gated: one branch.
     #[inline]
@@ -161,8 +141,6 @@ mod tests {
         let mut off = ObsShard::detached(ObsLevel::Off, Tid::Worker(0));
         off.add("c", Labels::none(), 1);
         off.record_ns("h", Labels::none(), 10);
-        off.observe("r", Labels::none(), 0, 1.0);
-        off.set_gauge("g", Labels::none(), 0, 1.0);
         let timer = off.span_start();
         off.span_end(timer, "s", 0);
         assert!(off.registry().is_empty());

@@ -13,7 +13,7 @@
 //!   (the engine's barrier discipline guarantees this), so a stable sort by key
 //!   yields one canonical order regardless of shard flush interleaving.
 
-use std::fmt::Write as _;
+use crate::json::JsonValue;
 
 /// The logical role an event belongs to. Deliberately coarse — no worker ids (see
 /// the module docs).
@@ -113,12 +113,6 @@ pub enum EventKind {
         /// Distinct rows hammered.
         rows_hammered: u64,
     },
-    /// Load was shed (requests dropped before dispatch). The serve engine does not
-    /// shed today; the variant reserves the taxonomy slot for the fleet scheduler.
-    Shed {
-        /// Requests dropped.
-        requests: u64,
-    },
     /// Scripted strikes whose batch offsets the run never reached.
     StrikeNeverFired {
         /// Strikes left unfired when service ended.
@@ -147,91 +141,58 @@ impl Event {
     /// identical sequences of these lines.
     #[must_use]
     pub fn logical_line(&self) -> String {
-        let mut line = format!(
-            r#"{{"batch":{},"track":"{}""#,
-            self.batch,
-            self.track.name()
-        );
-        match self.kind {
-            EventKind::Fetch { epoch } => {
-                let _ = write!(line, r#","event":"fetch","epoch":{epoch}"#);
-            }
-            EventKind::Verify { groups_flagged } => {
-                let _ = write!(
-                    line,
-                    r#","event":"verify","groups_flagged":{groups_flagged}"#
-                );
-            }
+        let line = JsonValue::object()
+            .with("batch", self.batch)
+            .with("track", self.track.name());
+        let line = match self.kind {
+            EventKind::Fetch { epoch } => line.with("event", "fetch").with("epoch", epoch),
+            EventKind::Verify { groups_flagged } => line
+                .with("event", "verify")
+                .with("groups_flagged", groups_flagged),
             EventKind::Detect {
                 via_scrub,
                 groups_flagged,
-            } => {
-                let _ = write!(
-                    line,
-                    r#","event":"detect","via_scrub":{via_scrub},"groups_flagged":{groups_flagged}"#
-                );
-            }
+            } => line
+                .with("event", "detect")
+                .with("via_scrub", via_scrub)
+                .with("groups_flagged", groups_flagged),
             EventKind::Recover {
                 groups_zeroed,
                 weights_zeroed,
-            } => {
-                let _ = write!(
-                    line,
-                    r#","event":"recover","groups_zeroed":{groups_zeroed},"weights_zeroed":{weights_zeroed}"#
-                );
+            } => line
+                .with("event", "recover")
+                .with("groups_zeroed", groups_zeroed)
+                .with("weights_zeroed", weights_zeroed),
+            EventKind::Rotation(RotationKind::Began { epoch }) => {
+                line.with("event", "rotation.began").with("epoch", epoch)
             }
-            EventKind::Rotation(kind) => match kind {
-                RotationKind::Began { epoch } => {
-                    let _ = write!(line, r#","event":"rotation.began","epoch":{epoch}"#);
-                }
-                RotationKind::Resigned {
-                    layer,
-                    groups_recovered,
-                } => {
-                    let _ = write!(
-                        line,
-                        r#","event":"rotation.resigned","layer":{layer},"groups_recovered":{groups_recovered}"#
-                    );
-                }
-                RotationKind::Published { epoch } => {
-                    let _ = write!(line, r#","event":"rotation.published","epoch":{epoch}"#);
-                }
-                RotationKind::Retired { epoch } => {
-                    let _ = write!(line, r#","event":"rotation.retired","epoch":{epoch}"#);
-                }
-            },
+            EventKind::Rotation(RotationKind::Resigned {
+                layer,
+                groups_recovered,
+            }) => line
+                .with("event", "rotation.resigned")
+                .with("layer", layer)
+                .with("groups_recovered", groups_recovered),
+            EventKind::Rotation(RotationKind::Published { epoch }) => line
+                .with("event", "rotation.published")
+                .with("epoch", epoch),
+            EventKind::Rotation(RotationKind::Retired { epoch }) => {
+                line.with("event", "rotation.retired").with("epoch", epoch)
+            }
             EventKind::Strike {
                 flips_landed,
                 flips_missed,
                 rows_hammered,
-            } => {
-                let _ = write!(
-                    line,
-                    r#","event":"strike","flips_landed":{flips_landed},"flips_missed":{flips_missed},"rows_hammered":{rows_hammered}"#
-                );
-            }
-            EventKind::Shed { requests } => {
-                let _ = write!(line, r#","event":"shed","requests":{requests}"#);
-            }
-            EventKind::StrikeNeverFired { remaining } => {
-                let _ = write!(
-                    line,
-                    r#","event":"strike_never_fired","remaining":{remaining}"#
-                );
-            }
-        }
-        line.push('}');
-        line
-    }
-
-    /// The logical line plus the wall-clock annotation, for human-facing JSONL
-    /// dumps. Never compare these across runs.
-    #[must_use]
-    pub fn annotated_line(&self) -> String {
-        let mut line = self.logical_line();
-        line.pop(); // strip the closing brace
-        let _ = write!(line, r#","at_seconds":{:.6}}}"#, self.at_seconds);
-        line
+            } => line
+                .with("event", "strike")
+                .with("flips_landed", flips_landed)
+                .with("flips_missed", flips_missed)
+                .with("rows_hammered", rows_hammered),
+            EventKind::StrikeNeverFired { remaining } => line
+                .with("event", "strike_never_fired")
+                .with("remaining", remaining),
+        };
+        line.render()
     }
 }
 
@@ -287,17 +248,6 @@ impl EventJournal {
         let mut out = String::new();
         for event in &self.events {
             out.push_str(&event.logical_line());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// The whole journal as annotated JSONL (wall-clock offsets included).
-    #[must_use]
-    pub fn annotated_jsonl(&self) -> String {
-        let mut out = String::new();
-        for event in &self.events {
-            out.push_str(&event.annotated_line());
             out.push('\n');
         }
         out
@@ -397,11 +347,9 @@ mod tests {
             line,
             r#"{"batch":3,"track":"scrub","event":"detect","via_scrub":true,"groups_flagged":2}"#
         );
-        // A different wall-clock reading must not change the logical line…
+        // A different wall-clock reading must not change the logical line.
         e.at_seconds = 99.0;
         assert_eq!(e.logical_line(), line);
-        // …but shows up in the annotated one.
-        assert!(e.annotated_line().contains(r#""at_seconds":99.000000"#));
     }
 
     #[test]
@@ -425,36 +373,68 @@ mod tests {
 
     #[test]
     fn every_kind_renders_a_distinct_event_name() {
-        let kinds = [
-            EventKind::Fetch { epoch: 1 },
-            EventKind::Verify { groups_flagged: 0 },
-            EventKind::Detect {
-                via_scrub: false,
-                groups_flagged: 1,
-            },
-            EventKind::Recover {
-                groups_zeroed: 1,
-                weights_zeroed: 16,
-            },
-            EventKind::Rotation(RotationKind::Began { epoch: 1 }),
-            EventKind::Rotation(RotationKind::Resigned {
-                layer: 2,
-                groups_recovered: 0,
-            }),
-            EventKind::Rotation(RotationKind::Published { epoch: 1 }),
-            EventKind::Rotation(RotationKind::Retired { epoch: 0 }),
-            EventKind::Strike {
-                flips_landed: 1,
-                flips_missed: 2,
-                rows_hammered: 3,
-            },
-            EventKind::Shed { requests: 4 },
-            EventKind::StrikeNeverFired { remaining: 1 },
+        // The expected lines are the bytes the hand-formatted renderer produced
+        // before `logical_line` moved onto `JsonValue`: replays compare against them.
+        let golden = [
+            (
+                EventKind::Fetch { epoch: 1 },
+                r#""event":"fetch","epoch":1}"#,
+            ),
+            (
+                EventKind::Verify { groups_flagged: 0 },
+                r#""event":"verify","groups_flagged":0}"#,
+            ),
+            (
+                EventKind::Detect {
+                    via_scrub: false,
+                    groups_flagged: 1,
+                },
+                r#""event":"detect","via_scrub":false,"groups_flagged":1}"#,
+            ),
+            (
+                EventKind::Recover {
+                    groups_zeroed: 1,
+                    weights_zeroed: 16,
+                },
+                r#""event":"recover","groups_zeroed":1,"weights_zeroed":16}"#,
+            ),
+            (
+                EventKind::Rotation(RotationKind::Began { epoch: 1 }),
+                r#""event":"rotation.began","epoch":1}"#,
+            ),
+            (
+                EventKind::Rotation(RotationKind::Resigned {
+                    layer: 2,
+                    groups_recovered: 0,
+                }),
+                r#""event":"rotation.resigned","layer":2,"groups_recovered":0}"#,
+            ),
+            (
+                EventKind::Rotation(RotationKind::Published { epoch: 1 }),
+                r#""event":"rotation.published","epoch":1}"#,
+            ),
+            (
+                EventKind::Rotation(RotationKind::Retired { epoch: 0 }),
+                r#""event":"rotation.retired","epoch":0}"#,
+            ),
+            (
+                EventKind::Strike {
+                    flips_landed: 1,
+                    flips_missed: 2,
+                    rows_hammered: u64::MAX,
+                },
+                r#""event":"strike","flips_landed":1,"flips_missed":2,"rows_hammered":18446744073709551615}"#,
+            ),
+            (
+                EventKind::StrikeNeverFired { remaining: 1 },
+                r#""event":"strike_never_fired","remaining":1}"#,
+            ),
         ];
-        let mut names: Vec<String> = kinds
+        let mut names: Vec<String> = golden
             .iter()
-            .map(|&kind| {
+            .map(|&(kind, tail)| {
                 let line = event(0, Track::Batcher, kind).logical_line();
+                assert_eq!(line, format!(r#"{{"batch":0,"track":"batcher",{tail}"#));
                 let start = line.find(r#""event":""#).expect("event name") + 9;
                 let end = start + line[start..].find('"').expect("closing quote");
                 line[start..end].to_string()
@@ -462,6 +442,6 @@ mod tests {
             .collect();
         names.sort();
         names.dedup();
-        assert_eq!(names.len(), kinds.len(), "event names must be distinct");
+        assert_eq!(names.len(), golden.len(), "event names must be distinct");
     }
 }

@@ -13,7 +13,7 @@ pub enum ObsLevel {
     /// `obs-off-purity` rule in `crates/analyze/lints.toml` enforces this for the
     /// hook layer).
     Off,
-    /// Counters, histograms and rolling stats record; spans stay off.
+    /// Counters and histograms record; spans stay off.
     #[default]
     Counters,
     /// Everything: counters plus wall-clock spans for trace export.
@@ -21,8 +21,7 @@ pub enum ObsLevel {
 }
 
 impl ObsLevel {
-    /// Whether counter-class metrics (counters, gauges, histograms, rolling stats)
-    /// record at this level.
+    /// Whether counter-class metrics (counters, histograms) record at this level.
     #[inline]
     #[must_use]
     pub fn counters_on(self) -> bool {
@@ -36,26 +35,13 @@ impl ObsLevel {
         self >= ObsLevel::Full
     }
 
-    /// Stable lowercase name (`off` / `counters` / `full`), used by exporters and
-    /// environment parsing.
+    /// Stable lowercase name (`off` / `counters` / `full`), used by exporters.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             ObsLevel::Off => "off",
             ObsLevel::Counters => "counters",
             ObsLevel::Full => "full",
-        }
-    }
-
-    /// Parses a level name as produced by [`name`](Self::name). Returns `None` for
-    /// anything else.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "off" => Some(ObsLevel::Off),
-            "counters" => Some(ObsLevel::Counters),
-            "full" => Some(ObsLevel::Full),
-            _ => None,
         }
     }
 }
@@ -134,14 +120,6 @@ mod tests {
         assert!(ObsLevel::Counters.counters_on());
         assert!(!ObsLevel::Counters.spans_on());
         assert!(ObsLevel::Full.spans_on());
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for level in [ObsLevel::Off, ObsLevel::Counters, ObsLevel::Full] {
-            assert_eq!(ObsLevel::parse(level.name()), Some(level));
-        }
-        assert_eq!(ObsLevel::parse("verbose"), None);
     }
 
     #[test]

@@ -4,12 +4,11 @@
 //! structs; this crate is the shared substrate they now record through. Three
 //! pillars, one invariant each:
 //!
-//! 1. **Metrics registry** ([`MetricsRegistry`]) — counters, gauges, rolling
-//!    windowed stats and the log-bucketed [`LatencyHistogram`], addressed by the
-//!    `(worker, layer, epoch, scenario)` label set ([`Labels`]). Threads record
-//!    into private [`ObsShard`]s (no locks on the hot path) and flush at existing
-//!    barrier points; **every merge is associative**, so flush order cannot change
-//!    the merged output.
+//! 1. **Metrics registry** ([`MetricsRegistry`]) — counters and the log-bucketed
+//!    [`LatencyHistogram`], addressed by the `(worker, layer, epoch, scenario)`
+//!    label set ([`Labels`]). Threads record into private [`ObsShard`]s (no locks
+//!    on the hot path) and flush at existing barrier points; **every merge is
+//!    associative**, so flush order cannot change the merged output.
 //! 2. **Deterministic event journal** ([`EventJournal`]) — typed events keyed by
 //!    **logical time** (batch index + logical [`Track`], never wall clock, never
 //!    worker ids). Same-seed runs produce byte-identical journals
@@ -22,9 +21,10 @@
 //!    enforce both halves mechanically (the only `Instant::now` in the workspace
 //!    lives in the private `clock` module).
 //!
-//! Exporters: [`EventJournal::annotated_jsonl`] for JSONL dumps and
-//! [`chrome_trace`] for Chrome `trace_event` files (Perfetto-loadable), with
-//! [`validate_chrome_trace`] as the CI-side checker.
+//! One JSON type, [`JsonValue`], parses and writes every document the workspace
+//! handles: the journal's logical lines, the [`chrome_trace`] export for Chrome
+//! `trace_event` files (Perfetto-loadable, with [`validate_chrome_trace`] as the
+//! CI-side checker), and the `radar-bench` `BENCH_*.json` artifacts.
 
 mod clock;
 mod histogram;
@@ -43,7 +43,7 @@ pub use hooks::GlobalCounter;
 pub use journal::{Event, EventJournal, EventKind, RotationKind, Track};
 pub use json::JsonValue;
 pub use level::{global_level, set_global_level, ObsConfig, ObsLevel};
-pub use registry::{GaugeValue, Labels, MetricKey, MetricsRegistry, RollingStats};
+pub use registry::{Labels, MetricsRegistry};
 pub use shard::{ObsCore, ObsReport, ObsShard};
 pub use span::{Span, SpanTimer, Tid};
 pub use trace::{chrome_trace, validate_chrome_trace, TraceSummary};

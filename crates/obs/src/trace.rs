@@ -10,7 +10,6 @@
 //!   so logical moments line up against the measured spans.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use crate::journal::{EventKind, RotationKind, Track};
 use crate::json::JsonValue;
@@ -20,103 +19,92 @@ use crate::span::Tid;
 /// The process id we put on every event (one serving session = one "process").
 const PID: u32 = 1;
 
-fn escape(name: &str) -> String {
-    name.replace('\\', "\\\\").replace('"', "\\\"")
+/// The journal's logical tracks get their own rows, offset well above the span
+/// rows so ordinals never collide.
+const JOURNAL_TID: u32 = 1000;
+
+/// A `"M"` metadata event naming the process or thread row `tid`.
+fn metadata(tid: u32, kind: &str, label: &str) -> JsonValue {
+    JsonValue::object()
+        .with("ph", "M")
+        .with("pid", PID)
+        .with("tid", tid)
+        .with("name", kind)
+        .with("args", JsonValue::object().with("name", label))
 }
 
-/// Renders `report` as a Chrome `trace_event` JSON document.
+/// The instant label of a journal event the trace marks, if it marks it.
+fn instant_label(kind: &EventKind) -> Option<&'static str> {
+    match kind {
+        EventKind::Strike { .. } => Some("strike"),
+        EventKind::Detect { .. } => Some("detect"),
+        EventKind::Rotation(RotationKind::Published { .. }) => Some("rotation.published"),
+        _ => None,
+    }
+}
+
+/// Builds `report`'s Chrome `trace_event` document ([`JsonValue::render`] writes it).
 ///
 /// `process_name` labels the whole timeline (e.g. the scenario name). Spans become
 /// `"X"` events on their thread's row; journal strikes, detections and rotation
 /// publishes become `"i"` instants on the logical tracks so the viewer shows *when*
 /// the logical story happened relative to the measured work.
 #[must_use]
-pub fn chrome_trace(report: &ObsReport, process_name: &str) -> String {
-    let mut events: Vec<String> = Vec::new();
-    events.push(format!(
-        r#"{{"ph":"M","pid":{PID},"tid":0,"name":"process_name","args":{{"name":"{}"}}}}"#,
-        escape(process_name)
-    ));
+pub fn chrome_trace(report: &ObsReport, process_name: &str) -> JsonValue {
+    let mut events = vec![metadata(0, "process_name", process_name)];
 
     // Name every thread row that will carry spans.
     let mut named: Vec<Tid> = report.spans.iter().map(|s| s.tid).collect();
     named.sort();
     named.dedup();
     for tid in &named {
-        events.push(format!(
-            r#"{{"ph":"M","pid":{PID},"tid":{},"name":"thread_name","args":{{"name":"{}"}}}}"#,
-            tid.ordinal(),
-            escape(&tid.name())
-        ));
+        events.push(metadata(tid.ordinal(), "thread_name", &tid.name()));
     }
 
     for span in &report.spans {
-        events.push(format!(
-            r#"{{"ph":"X","pid":{PID},"tid":{},"name":"{}","ts":{:.3},"dur":{:.3},"args":{{"batch":{}}}}}"#,
-            span.tid.ordinal(),
-            escape(span.name),
-            span.start_ns as f64 / 1_000.0,
-            span.dur_ns as f64 / 1_000.0,
-            span.batch
-        ));
+        events.push(
+            JsonValue::object()
+                .with("ph", "X")
+                .with("pid", PID)
+                .with("tid", span.tid.ordinal())
+                .with("name", span.name)
+                .with("ts", span.start_ns as f64 / 1_000.0)
+                .with("dur", span.dur_ns as f64 / 1_000.0)
+                .with("args", JsonValue::object().with("batch", span.batch)),
+        );
     }
 
-    // Logical instants: use a dedicated row per journal track, offset well above
-    // the span rows so ordinals never collide.
+    let mut tracks: Vec<Track> = Vec::new();
     for event in report.journal.events() {
-        let label = match event.kind {
-            EventKind::Strike { .. } => Some("strike"),
-            EventKind::Detect { .. } => Some("detect"),
-            EventKind::Rotation(RotationKind::Published { .. }) => Some("rotation.published"),
-            _ => None,
+        let Some(label) = instant_label(&event.kind) else {
+            continue;
         };
-        let Some(label) = label else { continue };
-        events.push(format!(
-            r#"{{"ph":"i","pid":{PID},"tid":{},"name":"{label}","ts":{:.3},"s":"t","args":{{"batch":{}}}}}"#,
-            1000 + event.track as u32,
-            event.at_seconds * 1e6,
-            event.batch
-        ));
+        events.push(
+            JsonValue::object()
+                .with("ph", "i")
+                .with("pid", PID)
+                .with("tid", JOURNAL_TID + event.track as u32)
+                .with("name", label)
+                .with("ts", event.at_seconds * 1e6)
+                .with("s", "t")
+                .with("args", JsonValue::object().with("batch", event.batch)),
+        );
+        tracks.push(event.track);
     }
-    for track in [
-        Track::Batcher,
-        Track::Fetch,
-        Track::Scrub,
-        Track::Rotate,
-        Track::Strike,
-    ] {
-        let has_instant = report.journal.events().iter().any(|e| {
-            e.track == track
-                && matches!(
-                    e.kind,
-                    EventKind::Strike { .. }
-                        | EventKind::Detect { .. }
-                        | EventKind::Rotation(RotationKind::Published { .. })
-                )
-        });
-        if has_instant {
-            events.push(format!(
-                r#"{{"ph":"M","pid":{PID},"tid":{},"name":"thread_name","args":{{"name":"journal:{}"}}}}"#,
-                1000 + track as u32,
-                track.name()
-            ));
-        }
+    tracks.sort();
+    tracks.dedup();
+    for track in tracks {
+        let label = format!("journal:{}", track.name());
+        events.push(metadata(JOURNAL_TID + track as u32, "thread_name", &label));
     }
 
-    let mut out = String::from("{\"traceEvents\":[\n");
-    for (i, event) in events.iter().enumerate() {
-        out.push_str(event);
-        if i + 1 < events.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    let _ = write!(
-        out,
-        "],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"level\":\"{}\"}}}}",
-        report.level.name()
-    );
-    out
+    JsonValue::object()
+        .with("traceEvents", events)
+        .with("displayTimeUnit", "ms")
+        .with(
+            "otherData",
+            JsonValue::object().with("level", report.level.name()),
+        )
 }
 
 /// What [`validate_chrome_trace`] found: span counts per named thread row.
@@ -253,8 +241,23 @@ mod tests {
 
     #[test]
     fn emitted_traces_validate_round_trip() {
-        let trace = chrome_trace(&report_with_spans(), "unit \"test\"");
+        // Quotes, backslashes and newlines in names must come back out verbatim.
+        let (process, span) = ("unit \"test\" \\ row\nnext", "snapshot \"build\" \\\n");
+        let mut report = report_with_spans();
+        report.spans[0].name = span;
+        let trace = chrome_trace(&report, process).render();
         let summary = validate_chrome_trace(&trace).expect("own trace must validate");
+        let doc = JsonValue::parse(&trace).expect("own trace parses");
+        let events = doc
+            .get("traceEvents")
+            .and_then(JsonValue::as_array)
+            .expect("traceEvents");
+        fn name_of(e: &JsonValue) -> Option<&str> {
+            e.get("name").and_then(JsonValue::as_str)
+        }
+        let label = events[0].get("args").and_then(name_of);
+        assert_eq!(label, Some(process));
+        assert!(events.iter().any(|e| name_of(e) == Some(span)));
         assert_eq!(summary.total_spans, 3);
         assert_eq!(summary.spans_on("worker-0"), 1);
         assert_eq!(summary.spans_on("worker-1"), 1);

@@ -4,8 +4,8 @@
 
 use radar_obs::{Labels, MetricsRegistry, ObsConfig, ObsCore, ObsLevel, ObsShard, Tid};
 
-/// Builds one worker's registry slice on its own thread: a counter, a histogram,
-/// a rolling window and a gauge, all keyed so the slices overlap across workers.
+/// Builds one worker's registry slice on its own thread: counters and a histogram,
+/// keyed so the slices overlap across workers.
 fn recorded_on_thread(worker: u32) -> MetricsRegistry {
     std::thread::spawn(move || {
         let mut shard = ObsShard::detached(ObsLevel::Counters, Tid::Worker(worker as u16));
@@ -13,20 +13,7 @@ fn recorded_on_thread(worker: u32) -> MetricsRegistry {
             shard.add("merge.calls", Labels::none(), 1);
             shard.add("merge.calls", Labels::none().worker(worker), 1);
             shard.record_ns("merge.latency_ns", Labels::none(), 1_000 * (i + 1));
-            shard.observe(
-                "merge.depth",
-                Labels::none(),
-                u64::from(worker) * 100 + i,
-                i as f64,
-            );
         }
-        // Gauges keep the largest logical sequence; give each worker a distinct one.
-        shard.set_gauge(
-            "merge.queue",
-            Labels::none(),
-            u64::from(worker),
-            f64::from(worker),
-        );
         let (registry, _, _) = shard.drain();
         registry
     })
@@ -94,19 +81,7 @@ fn racing_core_flushes_equal_the_hand_merged_registry() {
                     shard.add("merge.calls", Labels::none(), 1);
                     shard.add("merge.calls", Labels::none().worker(worker), 1);
                     shard.record_ns("merge.latency_ns", Labels::none(), 1_000 * (i + 1));
-                    shard.observe(
-                        "merge.depth",
-                        Labels::none(),
-                        u64::from(worker) * 100 + i,
-                        i as f64,
-                    );
                 }
-                shard.set_gauge(
-                    "merge.queue",
-                    Labels::none(),
-                    u64::from(worker),
-                    f64::from(worker),
-                );
                 core.flush(&mut shard);
             });
         }

@@ -11,7 +11,6 @@
 //! along in [`ServeOutcome::obs`] for exporters and replay tests.
 
 use std::sync::Mutex;
-use std::time::Duration;
 
 use radar_core::{KeyEpoch, RecoveryReport};
 use radar_memsim::MountReport;
@@ -311,27 +310,6 @@ impl Telemetry {
                     weights_zeroed: recovery.weights_zeroed as u64,
                 },
             );
-        });
-    }
-
-    /// Adds in-path verification time (fetch-path signature checks).
-    pub fn add_verify_time(&self, elapsed: Duration) {
-        self.with_shared(|shard| {
-            shard.force_add(metric::VERIFY_NS, Labels::none(), elapsed.as_nanos() as u64);
-        });
-    }
-
-    /// Adds background-scrub time.
-    pub fn add_scrub_time(&self, elapsed: Duration) {
-        self.with_shared(|shard| {
-            shard.force_add(metric::SCRUB_NS, Labels::none(), elapsed.as_nanos() as u64);
-        });
-    }
-
-    /// Adds pure inference (forward-pass) time.
-    pub fn add_infer_time(&self, elapsed: Duration) {
-        self.with_shared(|shard| {
-            shard.force_add(metric::INFER_NS, Labels::none(), elapsed.as_nanos() as u64);
         });
     }
 

@@ -48,6 +48,7 @@
 //! * under general scales each output is within one rounding step (±1 ulp per `f32`
 //!   operation) of the real-valued product.
 
+use std::env::VarError;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Rows of the right-hand operand per cache panel (the `k` blocking factor).
@@ -100,9 +101,15 @@ pub fn set_gemm_threads(threads: usize) {
 /// Worker-thread count for the integer GEMM kernels.
 ///
 /// Resolution order: the [`set_gemm_threads`] override, then the
-/// `RADAR_GEMM_THREADS` environment variable, then `1` (single-threaded — the
+/// `RADAR_GEMM_THREADS` environment variable (parsed by [`parse_gemm_threads`] and
+/// resolved to its largest entry, `0` meaning 1), then `1` (single-threaded — the
 /// bit-identical fallback). The serving engine runs several inference workers of its
 /// own, so GEMM-level threading is opt-in rather than defaulting to every core.
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, when `RADAR_GEMM_THREADS` is set but
+/// malformed: a typo fails the run instead of silently running single-threaded.
 ///
 /// # Example
 ///
@@ -119,17 +126,34 @@ pub fn gemm_threads() -> usize {
     if over > 0 {
         return over;
     }
-    // The env knob is a single worker count; the benchmarks also accept a
-    // comma-separated sweep list (`RADAR_GEMM_THREADS=2,4`), which resolves here to
-    // its maximum so the serving path runs at the widest swept width.
-    std::env::var("RADAR_GEMM_THREADS")
-        .ok()
-        .and_then(|v| {
-            v.split(',')
-                .filter_map(|t| t.trim().parse::<usize>().ok())
-                .max()
+    let raw = match std::env::var("RADAR_GEMM_THREADS") {
+        Ok(raw) => raw,
+        Err(VarError::NotPresent) => return 1,
+        Err(VarError::NotUnicode(raw)) => panic!("RADAR_GEMM_THREADS={raw:?}: not valid unicode"),
+    };
+    let threads =
+        parse_gemm_threads(&raw).unwrap_or_else(|e| panic!("RADAR_GEMM_THREADS={raw:?}: {e}"));
+    threads.into_iter().max().unwrap_or(1).max(1)
+}
+
+/// Parses a `RADAR_GEMM_THREADS` value: a comma-separated list of non-negative
+/// decimal integers, digits only (`4`, `2,4`). [`gemm_threads`] runs the kernels at
+/// the largest entry; `bench_infer` sweeps every entry as its thread axis.
+///
+/// # Errors
+///
+/// Returns why the first malformed entry was rejected.
+pub fn parse_gemm_threads(raw: &str) -> Result<Vec<usize>, String> {
+    raw.split(',')
+        .map(|entry| {
+            if entry.is_empty() || !entry.bytes().all(|b| b.is_ascii_digit()) {
+                return Err(format!(
+                    "expected comma-separated non-negative integers, got {entry:?}"
+                ));
+            }
+            entry.parse().map_err(|e| format!("{entry:?}: {e}"))
         })
-        .map_or(1, |t| t.max(1))
+        .collect()
 }
 
 /// Quantizes a float activation slice to `i8` with a **power-of-two** per-tensor
@@ -804,6 +828,28 @@ mod tests {
         set_gemm_threads(3);
         assert_eq!(gemm_threads(), 3);
         set_gemm_threads(0);
+    }
+
+    #[test]
+    fn gemm_thread_lists_parse_strictly() {
+        assert_eq!(parse_gemm_threads("0"), Ok(vec![0]));
+        assert_eq!(parse_gemm_threads("4"), Ok(vec![4]));
+        assert_eq!(parse_gemm_threads("2,4"), Ok(vec![2, 4]));
+        for bad in [
+            "",
+            "x",
+            "2,x",
+            "2,",
+            ",2",
+            "2, 4",
+            " 2",
+            "-1",
+            "+3",
+            "99999999999999999999999",
+        ] {
+            let err = parse_gemm_threads(bad).expect_err(bad);
+            assert!(!err.is_empty(), "{bad:?}");
+        }
     }
 
     #[test]

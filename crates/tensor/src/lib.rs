@@ -40,8 +40,8 @@ mod tensor;
 pub use conv::{col2im, im2col, im2col_i8, Conv2dGeometry};
 pub use error::TensorError;
 pub use gemm::{
-    gemm_f32, gemm_i8, gemm_i8_requant, gemm_threads, linear_i8_requant, quantize_activations,
-    set_gemm_threads, GEMM_CALLS, GEMM_PANELS, MAX_GEMM_K,
+    gemm_f32, gemm_i8, gemm_i8_requant, gemm_threads, linear_i8_requant, parse_gemm_threads,
+    quantize_activations, set_gemm_threads, GEMM_CALLS, GEMM_PANELS, MAX_GEMM_K,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -14,11 +14,14 @@ use radar_repro::quant::QuantizedModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Reads a count from environment variable `key`, `default` when unset. A set value
+/// that is not a non-negative integer panics, naming the variable and the value.
 fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    match std::env::var(key) {
+        Ok(raw) => raw.parse().unwrap_or_else(|e| panic!("{key}={raw:?}: {e}")),
+        Err(std::env::VarError::NotPresent) => default,
+        Err(std::env::VarError::NotUnicode(raw)) => panic!("{key}={raw:?}: not valid unicode"),
+    }
 }
 
 fn main() {

@@ -11,7 +11,7 @@
 //!    its two slots, so rotation turns a guaranteed evasion into a per-pair coin flip.
 //! 2. **Live rotation** — the same seeded strike replayed through
 //!    [`radar_serve::serve`] twice: once with a static key (`rotate_every = 0`) and
-//!    once with the background re-keying task armed, sized so a full epoch roll
+//!    once with key rotation armed, sized so a full epoch roll
 //!    (begin, every layer re-signed, publish, retire) completes mid-service. The
 //!    rotating run is replayed to confirm the rotation event stream is deterministic
 //!    per seed.

@@ -3,15 +3,16 @@
 //! Four scenarios replay the same deterministic, seeded traffic against the prepared
 //! model, differing only in the attack timeline and which detection paths are armed:
 //!
-//! | Scenario | In-path verify | Scrubber | Attack |
+//! | Scenario | In-path verify | Scrub sweeps | Attack |
 //! |---|---|---|---|
 //! | `clean` | on | on | none |
 //! | `attack_inpath` | on | on | PBFA profile mounted mid-service |
 //! | `attack_scrub_only` | off | on | same strike |
 //! | `unprotected` | off | off | same strike |
 //!
-//! Each scenario runs through [`radar_serve::serve`] — bounded queue, batcher, worker
-//! pool with verified fetch, background scrubber, scripted adversary — and the
+//! Each scenario runs through [`radar_serve::serve`] — bounded queue, a batcher that
+//! mounts the scripted strikes and scrubs between batches, worker pool with
+//! verified fetch — and the
 //! telemetry lands in `artifacts/results/BENCH_serve.json` plus a human-readable
 //! table. See the `run_serve` binary (`--smoke` for the CI-sized timeline).
 
@@ -66,7 +67,7 @@ pub struct ServeScenario {
     pub name: &'static str,
     /// Whether workers verified layers in the fetch path.
     pub inpath_verify: bool,
-    /// Whether the background scrubber was armed.
+    /// Whether scrub sweeps were armed.
     pub scrub: bool,
     /// Whether any protection was present at all.
     pub protected: bool,
@@ -207,8 +208,9 @@ pub fn run(prepared: &mut Prepared, params: &ServeBenchParams) -> ServeBenchOutc
 /// Chrome `trace_event` export to `artifacts/results/TRACE_serve.json`.
 ///
 /// The emitted trace is validated before this returns: it must parse, and it must
-/// carry at least one span per inference worker plus the scrubber and rotation
-/// rows. A trace that fails validation is a bug, so this panics (CI runs it via
+/// carry at least one span per inference worker plus at least one `scrub_sweep`,
+/// one `rotation_tick` and one `strike_mount` span on the batcher row. A trace
+/// that fails validation is a bug, so this panics (CI runs it via
 /// `run_serve --trace` and the panic fails the job).
 pub fn trace(prepared: &mut Prepared, params: &ServeBenchParams) -> PathBuf {
     let kind = prepared.kind;
@@ -225,8 +227,8 @@ pub fn trace(prepared: &mut Prepared, params: &ServeBenchParams) -> PathBuf {
     }
     .from_env()
     .with_obs(ObsLevel::Full);
-    // Arm the re-keying task so the trace shows the rotation track alongside the
-    // worker, scrubber and adversary rows.
+    // Arm key rotation so the batcher row shows rotation ticks next to its scrub
+    // sweeps and the strike mount.
     cfg.rotate_every = 2;
 
     let total_batches = params.requests.div_ceil(cfg.max_batch);
@@ -271,10 +273,10 @@ pub fn trace(prepared: &mut Prepared, params: &ServeBenchParams) -> PathBuf {
             summary.total_spans
         );
     }
-    for row in ["scrubber", "rotation"] {
+    for span in ["scrub_sweep", "rotation_tick", "strike_mount"] {
         assert!(
-            summary.spans_on(row) >= 1,
-            "trace is missing spans on the {row} row ({} spans total)",
+            summary.spans_named("batcher", span) >= 1,
+            "trace is missing a {span} span on the batcher row ({} spans total)",
             summary.total_spans
         );
     }

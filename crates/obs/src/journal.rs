@@ -23,11 +23,11 @@ pub enum Track {
     Batcher,
     /// The in-path weight fetch (whichever worker held the batch's ticket).
     Fetch,
-    /// The background scrubber.
+    /// Scrub sweeps of the stored image.
     Scrub,
-    /// The background re-keying task.
+    /// Key-rotation ticks.
     Rotate,
-    /// The scripted adversary.
+    /// The scripted adversary's strikes.
     Strike,
 }
 
@@ -90,7 +90,7 @@ pub enum EventKind {
     },
     /// A verification pass flagged at least one group — an attack detection.
     Detect {
-        /// Whether the background scrubber (vs the in-path check) detected it.
+        /// Whether a scrub sweep (vs the in-path check) detected it.
         via_scrub: bool,
         /// Signature groups flagged.
         groups_flagged: u64,
@@ -102,7 +102,7 @@ pub enum EventKind {
         /// Individual weights zeroed.
         weights_zeroed: u64,
     },
-    /// One action of the background re-keying task.
+    /// One key-rotation action.
     Rotation(RotationKind),
     /// The adversary mounted one rowhammer strike.
     Strike {
@@ -206,16 +206,21 @@ pub struct EventJournal {
 impl EventJournal {
     /// Builds a journal from raw shard-flushed events: stable-sorts by the logical
     /// key `(batch, track)` (canonical order — see the module docs), then keeps
-    /// only the most recent `capacity` events (ring-buffer semantics), recording
-    /// how many old events were dropped.
+    /// only the most recent `capacity` events ([`keep_latest`](Self::keep_latest)).
     #[must_use]
     pub fn from_events(mut events: Vec<Event>, capacity: usize) -> Self {
         events.sort_by_key(|e| (e.batch, e.track));
-        let dropped = events.len().saturating_sub(capacity);
-        if dropped > 0 {
-            events.drain(..dropped);
-        }
-        EventJournal { events, dropped }
+        let mut journal = EventJournal { events, dropped: 0 };
+        journal.keep_latest(capacity);
+        journal
+    }
+
+    /// Drops all but the most recent `capacity` events (ring-buffer semantics),
+    /// adding them to the [`dropped`](Self::dropped) count.
+    pub fn keep_latest(&mut self, capacity: usize) {
+        let dropped = self.events.len().saturating_sub(capacity);
+        self.events.drain(..dropped);
+        self.dropped += dropped;
     }
 
     /// The retained events, in canonical logical order.
@@ -326,10 +331,14 @@ mod tests {
         let events: Vec<Event> = (0..10)
             .map(|b| event(b, Track::Fetch, EventKind::Fetch { epoch: 0 }))
             .collect();
-        let journal = EventJournal::from_events(events, 4);
+        let mut journal = EventJournal::from_events(events, 4);
         assert_eq!(journal.len(), 4);
         assert_eq!(journal.dropped(), 6);
         assert_eq!(journal.events()[0].batch, 6);
+        // A later, tighter bound drops further and keeps counting.
+        journal.keep_latest(1);
+        assert_eq!(journal.dropped(), 9);
+        assert_eq!(journal.events()[0].batch, 9);
     }
 
     #[test]

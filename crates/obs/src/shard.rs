@@ -99,8 +99,7 @@ struct CoreInner {
 /// back into it; [`finish`](ObsCore::finish) folds everything into an
 /// [`ObsReport`].
 ///
-/// The mutex is only touched at shard flush points and by the rare always-on
-/// journal emitters — never per-sample.
+/// The mutex is only touched at shard flush points — never per-sample.
 #[derive(Debug)]
 pub struct ObsCore {
     config: ObsConfig,

@@ -10,16 +10,11 @@
 /// show the real interleaving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Tid {
-    /// The batcher thread.
+    /// The batcher thread, which also mounts strikes, scrubs and ticks the key
+    /// rotation between batches.
     Batcher,
     /// Inference worker `n`.
     Worker(u16),
-    /// The background scrubber.
-    Scrubber,
-    /// The background re-keying task.
-    Rotation,
-    /// The scripted adversary.
-    Adversary,
 }
 
 impl Tid {
@@ -29,9 +24,6 @@ impl Tid {
         match self {
             Tid::Batcher => "batcher".to_string(),
             Tid::Worker(n) => format!("worker-{n}"),
-            Tid::Scrubber => "scrubber".to_string(),
-            Tid::Rotation => "rotation".to_string(),
-            Tid::Adversary => "adversary".to_string(),
         }
     }
 
@@ -41,9 +33,6 @@ impl Tid {
         match self {
             Tid::Batcher => 0,
             Tid::Worker(n) => 100 + u32::from(n),
-            Tid::Scrubber => 1,
-            Tid::Rotation => 2,
-            Tid::Adversary => 3,
         }
     }
 }
@@ -85,14 +74,7 @@ mod tests {
 
     #[test]
     fn tid_names_and_ordinals_are_distinct() {
-        let tids = [
-            Tid::Batcher,
-            Tid::Worker(0),
-            Tid::Worker(1),
-            Tid::Scrubber,
-            Tid::Rotation,
-            Tid::Adversary,
-        ];
+        let tids = [Tid::Batcher, Tid::Worker(0), Tid::Worker(1), Tid::Worker(7)];
         let mut names: Vec<String> = tids.iter().map(|t| t.name()).collect();
         let mut ordinals: Vec<u32> = tids.iter().map(|t| t.ordinal()).collect();
         names.sort();

@@ -107,12 +107,15 @@ pub fn chrome_trace(report: &ObsReport, process_name: &str) -> JsonValue {
         )
 }
 
-/// What [`validate_chrome_trace`] found: span counts per named thread row.
+/// What [`validate_chrome_trace`] found: span counts per named thread row, and per
+/// row and span name.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TraceSummary {
     /// Complete (`"X"`) span count per thread name (from the `thread_name`
     /// metadata events).
     pub spans_by_thread: BTreeMap<String, usize>,
+    /// Complete span count per `(thread name, span name)`.
+    pub spans_by_name: BTreeMap<(String, String), usize>,
     /// Total `"X"` events.
     pub total_spans: usize,
     /// Total `"i"` instant events.
@@ -125,14 +128,24 @@ impl TraceSummary {
     pub fn spans_on(&self, thread: &str) -> usize {
         self.spans_by_thread.get(thread).copied().unwrap_or(0)
     }
+
+    /// Spans called `name` recorded on the named thread.
+    #[must_use]
+    pub fn spans_named(&self, thread: &str, name: &str) -> usize {
+        self.spans_by_name
+            .get(&(thread.to_owned(), name.to_owned()))
+            .copied()
+            .unwrap_or(0)
+    }
 }
 
 /// Parses and validates a Chrome `trace_event` document produced by
 /// [`chrome_trace`]: the JSON must parse, `traceEvents` must exist, every `"X"`
-/// event needs `ts`/`dur`/`tid`, and every span's `tid` must have a
-/// `thread_name` metadata row. Returns per-thread span counts for the caller's
-/// own coverage assertions (CI requires ≥ 1 span per worker plus the scrubber and
-/// rotation rows).
+/// event needs `name`/`ts`/`dur`/`tid`, and every span's `tid` must have a
+/// `thread_name` metadata row. Returns span counts per thread and per thread and
+/// span name for the caller's own coverage assertions (`run_serve --trace`
+/// requires ≥ 1 span per worker plus a `scrub_sweep`, a `rotation_tick` and a
+/// `strike_mount` span on the batcher row).
 pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
     let doc = JsonValue::parse(text)?;
     let events = doc
@@ -180,7 +193,15 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
                 let thread = names
                     .get(&(tid as u64))
                     .ok_or_else(|| format!("span {index} on unnamed tid {tid}"))?;
+                let name = event
+                    .get("name")
+                    .and_then(JsonValue::as_str)
+                    .ok_or_else(|| format!("span {index} has no name"))?;
                 *summary.spans_by_thread.entry(thread.clone()).or_insert(0) += 1;
+                *summary
+                    .spans_by_name
+                    .entry((thread.clone(), name.to_owned()))
+                    .or_insert(0) += 1;
                 summary.total_spans += 1;
             }
             "i" => summary.total_instants += 1,
@@ -217,8 +238,15 @@ mod tests {
             },
             Span {
                 name: "scrub_sweep",
-                tid: Tid::Scrubber,
+                tid: Tid::Batcher,
                 start_ns: 10_000,
+                dur_ns: 1_000,
+                batch: 4,
+            },
+            Span {
+                name: "strike_mount",
+                tid: Tid::Batcher,
+                start_ns: 12_000,
                 dur_ns: 1_000,
                 batch: 4,
             },
@@ -258,11 +286,17 @@ mod tests {
         let label = events[0].get("args").and_then(name_of);
         assert_eq!(label, Some(process));
         assert!(events.iter().any(|e| name_of(e) == Some(span)));
-        assert_eq!(summary.total_spans, 3);
+        assert_eq!(summary.total_spans, 4);
         assert_eq!(summary.spans_on("worker-0"), 1);
         assert_eq!(summary.spans_on("worker-1"), 1);
-        assert_eq!(summary.spans_on("scrubber"), 1);
-        assert_eq!(summary.spans_on("rotation"), 0);
+        assert_eq!(summary.spans_on("batcher"), 2);
+        // Counts per (row, span name), the escaped name included verbatim.
+        assert_eq!(summary.spans_named("worker-0", span), 1);
+        assert_eq!(summary.spans_named("worker-1", "infer"), 1);
+        assert_eq!(summary.spans_named("batcher", "scrub_sweep"), 1);
+        assert_eq!(summary.spans_named("batcher", "strike_mount"), 1);
+        assert_eq!(summary.spans_named("batcher", "rotation_tick"), 0);
+        assert_eq!(summary.spans_named("worker-0", "infer"), 0);
         assert_eq!(summary.total_instants, 1);
     }
 
@@ -277,5 +311,10 @@ mod tests {
             {"ph":"M","pid":1,"tid":7,"name":"thread_name","args":{"name":"w"}},
             {"ph":"X","pid":1,"tid":7,"name":"s","ts":1}]}"#;
         assert!(validate_chrome_trace(no_dur).is_err());
+        let no_name = r#"{"traceEvents":[
+            {"ph":"M","pid":1,"tid":7,"name":"thread_name","args":{"name":"w"}},
+            {"ph":"X","pid":1,"tid":7,"ts":1,"dur":1}]}"#;
+        let err = validate_chrome_trace(no_name).expect_err("unnamed span");
+        assert!(err.contains("no name"), "got {err}");
     }
 }

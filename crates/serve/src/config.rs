@@ -4,12 +4,12 @@ use std::time::Duration;
 use radar_obs::{ObsConfig, ObsLevel};
 
 /// Which execution path workers run inference on. Single-valued: workers always
-/// run the integer GEMM straight off the published snapshot's `i8` bytes. The
+/// run the integer GEMM straight off their verified image's `i8` bytes. The
 /// enum (and [`ServeConfig::exec`]) survives only because the benchmark package
 /// names every `ServeConfig` field; it goes away with the next benchmark revision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecPath {
-    /// Run forward straight off the snapshot's `i8` bytes through the true integer
+    /// Run forward straight off the verified image's `i8` bytes through the true integer
     /// GEMM — i8×i8 products accumulated in `i32`, scales applied in the
     /// requantization epilogue, optionally threaded via `RADAR_GEMM_THREADS` — no
     /// float weight tensor, no model write-back.
@@ -21,11 +21,11 @@ pub enum ExecPath {
 /// [`ExecPath`], and kept for the same reason.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FetchMode {
-    /// One fused fetch-and-verify pass per batch builds a shared, epoch-pinned
-    /// `VerifiedSnapshot` (bytes copied out of DRAM once, then verified while
-    /// cache-hot), published as an `Arc` for
-    /// every consumer of the batch. Recovery refreshes happen in the build path
-    /// before publish.
+    /// Under the batch's fetch ticket, its worker rebuilds its own weight image in
+    /// one fused fetch-and-verify pass at the epoch it pinned (bytes copied out of
+    /// DRAM once, then verified while cache-hot), recovers and refreshes flagged
+    /// layers, and serves the batch off that image. The variant's name predates
+    /// the per-worker image; nothing is shared between workers.
     #[default]
     SharedSnapshot,
 }
@@ -55,17 +55,17 @@ pub struct ServeConfig {
     /// Capacity of the bounded request queue (senders block when it is full).
     pub queue_capacity: usize,
     /// Whether workers verify each layer in the weight-fetch path (RADAR's in-path
-    /// check). Off models a deployment that relies on the background scrubber alone.
+    /// check). Off models a deployment that relies on scrub sweeps alone.
     pub inpath_verify: bool,
-    /// The scrubber performs one incremental sweep step every `scrub_every` dispatched
-    /// batches; `0` disables scrubbing entirely.
+    /// The batcher performs one incremental scrub sweep step every `scrub_every`
+    /// dispatched batches; `0` disables scrubbing entirely.
     pub scrub_every: usize,
     /// Layers verified per scrub step (clamped to the model's layer count; `0` means
     /// the whole model per step).
     pub scrub_layers: usize,
-    /// The background re-keying task performs one rotation action (begin a roll,
-    /// re-sign one layer, publish the next epoch, retire the previous one) every
-    /// `rotate_every` dispatched batches; `0` disables key rotation. A full roll
+    /// The batcher performs one rotation action (begin a roll, re-sign one layer,
+    /// publish the next epoch, retire the previous one) every `rotate_every`
+    /// dispatched batches; `0` disables key rotation. A full roll
     /// of an `L`-layer model therefore spans `L + 3` rotation ticks, during which
     /// workers keep serving — verification pins the epoch it observed and the
     /// protection accepts `{current, previous}` across the publish.
@@ -133,7 +133,7 @@ impl ServeConfig {
         self
     }
 
-    /// The scrub-only variant: detection happens exclusively in the background sweep,
+    /// The scrub-only variant: detection happens exclusively in the scrub sweep,
     /// never in the fetch path.
     pub fn scrub_only(mut self) -> Self {
         self.inpath_verify = false;

@@ -17,34 +17,35 @@
 //! # Architecture (threads, no async runtime)
 //!
 //! ```text
-//! driver ──bounded queue──▶ batcher ──▶ worker pool (verified fetch + inference)
-//!                             │  ▲            │
-//!                  logical    │  │ fetch      ├── shared WeightDram   (RwLock)
-//!                  clock      ▼  │ barrier    └── shared RadarProtection (RwLock)
-//!                adversary / scrubber (strike / sweep between batches)
+//! driver ──bounded queue──▶ batcher ──batch dispatch──▶ worker pool
+//!                              │ at the fetch barrier:     │ per batch, under the ticket:
+//!                              │ strike, scrub sweep,      │ fused fetch + verify into
+//!                              │ rotation tick             │ its own image, recover, refresh;
+//!                              ▼                           ▼ then infer off the image
+//!                     shared WeightDram (RwLock) + shared RadarProtection (RwLock)
 //! ```
 //!
-//! [`serve`] wires the components: a bounded request queue feeds a
-//! batcher that coalesces up to `max_batch` requests (waiting at most `max_wait`);
-//! for every batch the ticket-holding worker copies the weights out of the shared
-//! [`WeightDram`](radar_memsim::WeightDram) in one fused fetch-and-verify pass,
-//! recovers anything flagged, and publishes the verified snapshot every worker then
-//! runs the integer GEMM off; a background scrubber
-//! sweeps the DRAM image incrementally between batches; a scripted adversary mounts
-//! [`AttackTimeline`](radar_memsim::AttackTimeline) strikes mid-service. Recovery
-//! zeroes flagged groups directly in the DRAM image (and refreshes the golden
-//! signatures) without stopping service. When [`ServeConfig::rotate_every`] is set, a
-//! background re-keying task additionally rolls the protection to a fresh
-//! [`KeyEpoch`](radar_core::KeyEpoch) — one layer re-signed per tick, publish, retire
-//! — while workers keep serving: each worker pins the epoch it observed at its fetch
-//! ticket and verification accepts `{current, previous}` across the publish
-//! ([`RotationEvent`]s record the roll in telemetry).
+//! [`serve`] wires the components: a bounded request queue feeds a batcher that
+//! coalesces up to `max_batch` requests (waiting at most `max_wait`) and, between
+//! batches, runs every step that changes the stored weights or their keys: it
+//! mounts the [`AttackTimeline`](radar_memsim::AttackTimeline)'s scripted strikes,
+//! sweeps the DRAM image incrementally, and, when [`ServeConfig::rotate_every`] is
+//! set, rolls the protection to a fresh [`KeyEpoch`](radar_core::KeyEpoch) — one
+//! layer re-signed per tick, publish, retire ([`RotationEvent`]s record the roll in
+//! telemetry). For every batch, the worker holding the fetch ticket copies the
+//! weights out of the shared [`WeightDram`](radar_memsim::WeightDram) into its own
+//! image in one fused fetch-and-verify pass, recovers anything flagged, and runs
+//! the integer GEMM off that image. Recovery zeroes flagged groups directly in the
+//! DRAM image (and refreshes the golden signatures) without stopping service. Each
+//! worker pins the epoch it observed at its fetch ticket, and verification accepts
+//! `{current, previous}` across a publish.
 //!
-//! Weight fetches are ticketed in batch order, the adversary/scrubber only run at
-//! fetch barriers, and [`ServeConfig::strict_batching`] pins batch composition to the
-//! request stream, so every *logical* outcome of a run — who served corrupted
-//! weights, when detection fired, the accuracy windows — replays deterministically
-//! for a fixed seed; only the measured wall-clock telemetry varies.
+//! Weight fetches are ticketed in batch order, the batcher's strike, scrub and
+//! rotation steps only run at fetch barriers, and [`ServeConfig::strict_batching`]
+//! pins batch composition to the request stream, so every *logical* outcome of a
+//! run — who served corrupted weights, when detection fired, the accuracy windows —
+//! replays deterministically for a fixed seed; only the measured wall-clock
+//! telemetry varies.
 
 mod config;
 mod engine;

@@ -7,7 +7,7 @@ use radar_memsim::WeightDram;
 /// refreshed).
 ///
 /// The re-check is what makes concurrent detectors safe: when the in-path check and
-/// the background scrubber flag the same corruption, whichever acquires the write
+/// a scrub sweep flag the same corruption, whichever acquires the write
 /// locks first performs the recovery; the second finds the image already clean and
 /// does nothing — no double-zeroing, no double-counted recovery statistics, no flags
 /// raised against already-recovered groups. Flips that landed *after* `report` was

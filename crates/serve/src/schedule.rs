@@ -3,11 +3,11 @@
 //!
 //! [`serve`](crate::serve) claims its logical outcomes are a pure function of
 //! `(models, schedule, timeline, config)`, independent of thread scheduling, because
-//! weight fetches are ticketed in batch order and the adversary/scrubber only run at
-//! fetch barriers. The OS scheduler only ever samples a handful of interleavings per
-//! test run; this module instead **exhaustively enumerates every interleaving** of
-//! the protocol's atomic steps for small configurations (2 workers, 2–3 layers) and
-//! checks, in every reachable ordering:
+//! weight fetches are ticketed in batch order and the batcher's strike, scrub and
+//! rotation steps only run at fetch barriers. The OS scheduler only ever samples a
+//! handful of interleavings per test run; this module instead **exhaustively
+//! enumerates every interleaving** of the protocol's atomic steps for small
+//! configurations (2 workers, 2–3 layers) and checks, in every reachable ordering:
 //!
 //! * **no lost detection** — if a strike landed flips, every terminal state has a
 //!   detection event and a verification-clean DRAM image;
@@ -24,8 +24,8 @@
 //! scheduling differs: instead of OS threads, a memoized depth-first search forks
 //! the whole state at every enabled step. [`Mutation`] seeds deliberately broken
 //! protocol variants (skip the recovery re-check, publish the fetch ticket before
-//! recovering, drop the ticket wait, drop the previous-epoch window, publish the
-//! snapshot before its refresh) and the test suite demonstrates the
+//! recovering, drop the ticket wait, drop the previous-epoch window, serve the
+//! image from before its post-recovery refresh) and the test suite demonstrates the
 //! checker catches each one — the "teeth" that justify trusting a green run.
 
 use std::collections::{BTreeSet, HashMap};
@@ -40,7 +40,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::recovery::recover_in_dram_traced;
-use crate::steps::{build_snapshot, refresh_layers, rotation_step, scrub_sweep, RotationAction};
+use crate::steps::{build_snapshot, refresh_layers, rotation_step, scrub_sweep};
+use crate::telemetry::RotationEventKind;
 
 /// Cap on recorded violations; exploration continues (for accurate state/schedule
 /// counts) but further violations are dropped once this many are recorded.
@@ -64,8 +65,8 @@ pub enum Mutation {
     PublishBeforeRecover,
     /// Workers skip the ticket wait and fetch as soon as their batch is dispatched;
     /// the raw `publish` store then moves the ticket backwards under out-of-order
-    /// completion, and barrier waits (`fetched >= offset`) can strand the adversary
-    /// forever — a ticket/barrier deadlock the checker must find.
+    /// completion, and barrier waits (`fetched >= offset`) can strand the batcher's
+    /// strike step forever — a ticket/barrier deadlock the checker must find.
     NoTicket,
     /// The `{current, previous}` acceptance window is dropped: an epoch publish
     /// retires the previous epoch immediately, and a worker whose pinned epoch is no
@@ -73,10 +74,9 @@ pub enum Mutation {
     /// pin→fetch window then lets a struck batch serve corrupted bytes unverified —
     /// a corrupt-served violation the checker must find.
     NoPreviousEpoch,
-    /// The worker publishes its batch's snapshot to the shared slot *before* in-path
-    /// recovery refreshes the flagged layers, then consumes and serves those stale
-    /// bytes. The batch and epoch stamps still match — only the build→refresh→publish
-    /// ordering is broken — so the stamp asserts cannot save the run and the
+    /// The worker serves its image as the fetch built it, before in-path recovery
+    /// refreshed the flagged layers. Recovery itself still zeroes the groups in
+    /// DRAM — only the build→recover→refresh→serve ordering is broken — so the
     /// pre-recovery corruption reaches traffic: a corrupt-served violation the
     /// checker must find.
     StaleSnapshot,
@@ -114,14 +114,14 @@ pub struct Scenario {
     pub scrub_layers: usize,
     /// Key-rotation cadence in batches (`0` disables rotation). Each due tick
     /// performs exactly one rotation action — begin, re-sign one layer, publish,
-    /// retire — mirroring the engine's re-keying task.
+    /// retire — mirroring the batcher's rotation step.
     pub rotate_every: usize,
     /// The scripted strike, if any.
     pub strike: Option<StrikeSpec>,
-    /// When set, the adversary and scrubber are *not* held at the fetch barrier:
-    /// they may interleave with in-flight fetches and pending recoveries. The full
-    /// engine protocol never does this — the relaxation exists to expose the racing
-    /// recovery window and prove the re-check keeps it safe.
+    /// When set, the batcher's strike, scrub and rotation steps are *not* held at
+    /// the fetch barrier: they may interleave with in-flight fetches and pending
+    /// recoveries. The full engine protocol never does this — the relaxation exists
+    /// to expose the racing recovery window and prove the re-check keeps it safe.
     pub relax_barrier: bool,
     /// The protocol variant under check.
     pub mutation: Mutation,
@@ -211,7 +211,7 @@ impl Scenario {
 pub enum Op {
     /// The batcher dispatches the next batch.
     Dispatch,
-    /// The adversary mounts the scripted strike.
+    /// The batcher mounts the scripted strike.
     Strike,
     /// Worker `w` takes its fetch ticket and pins the epoch it will verify under —
     /// the engine's short pre-fetch read lock on the protection.
@@ -226,12 +226,12 @@ pub enum Op {
     /// Worker `w` runs inference and serves its batch — concurrent with the next
     /// batch's fetch, exactly as in the engine (the ticket is already published).
     WorkerServe(usize),
-    /// The scrubber verifies its due sweep slice of the DRAM image.
+    /// The batcher's scrub sweep verifies its due slice of the DRAM image.
     ScrubVerify,
-    /// The scrubber recovers what its sweep flagged and acknowledges the batcher.
+    /// The batcher recovers what its sweep flagged.
     ScrubRecover,
-    /// The re-keying task performs its due rotation tick (one action of the epoch
-    /// state machine: begin / re-sign one layer / publish / retire).
+    /// The batcher performs its due rotation tick (one action of the epoch state
+    /// machine: begin / re-sign one layer / publish / retire).
     Rotate,
 }
 
@@ -337,10 +337,6 @@ struct State {
     /// Batches fully processed (publish + serve) — models channel backpressure.
     completed: usize,
     workers: Vec<WorkerState>,
-    /// The shared snapshot slot: the latest published `(batch, layers)` — the
-    /// model of `SnapshotSlot::publish`/`latest` (stamps minus the epoch, which
-    /// the engine asserts against the pin it already holds).
-    slot: Option<(usize, Vec<Vec<i8>>)>,
     strike_fired: bool,
     sweeps_done: usize,
     scrub_cursor: usize,
@@ -356,7 +352,7 @@ struct State {
     rotation_recovered_groups: usize,
 }
 
-/// The batch offsets at which the batcher releases each background task's ticks.
+/// The batch offsets at which the batcher runs its scrub and rotation steps.
 struct Cadence {
     sweeps: Vec<usize>,
     rotations: Vec<usize>,
@@ -376,7 +372,6 @@ impl State {
                     phase: Phase::Idle,
                 })
                 .collect(),
-            slot: None,
             strike_fired: false,
             sweeps_done: 0,
             scrub_cursor: 0,
@@ -428,7 +423,7 @@ impl State {
         {
             ops.push(Op::Dispatch);
         }
-        // Adversary: strikes when the logical clock reaches its offset, held at the
+        // Strike step: fires when the logical clock reaches its offset, held at the
         // fetch barrier unless the scenario relaxes it.
         if let Some(strike) = &sc.strike {
             if !self.strike_fired
@@ -438,9 +433,9 @@ impl State {
                 ops.push(Op::Strike);
             }
         }
-        // Scrubber: sweeps at its cadence, after due strikes, held at the barrier
-        // unless relaxed; recovery of a verified sweep is a separate step so other
-        // actors may interleave between them when the barrier is relaxed.
+        // Scrub step: sweeps at its cadence, after due strikes, held at the barrier
+        // unless relaxed; recovery of a verified sweep is a separate step so workers
+        // may interleave between them when the barrier is relaxed.
         if sweep_due
             && self.scrub_inflight.is_none()
             && !strike_blocking
@@ -451,9 +446,9 @@ impl State {
         if self.scrub_inflight.is_some() {
             ops.push(Op::ScrubRecover);
         }
-        // Re-keying task: one rotation tick at its cadence, after due strikes and
-        // the due sweep (the engine's batcher releases scrub before rotation at the
-        // same offset), held at the fetch barrier unless relaxed.
+        // Rotation step: one tick at its cadence, after due strikes and the due
+        // sweep (the engine's batcher scrubs before it ticks at the same offset),
+        // held at the fetch barrier unless relaxed.
         if rotation_due
             && !strike_blocking
             && !sweep_due
@@ -542,10 +537,9 @@ impl State {
         }
     }
 
-    /// Finishes a worker's pre-serve work: recovery (if flagged), snapshot refresh,
-    /// snapshot publish/consume and ticket publish, in the order the protocol
-    /// variant prescribes. The worker then serves its (now fixed) snapshot as a
-    /// separate, concurrent step.
+    /// Finishes a worker's pre-serve work: recovery (if flagged) and the refresh
+    /// of its image, then the ticket publish. The worker then serves its (now
+    /// fixed) image as a separate, concurrent step.
     fn finish_batch(
         &mut self,
         sc: &Scenario,
@@ -555,31 +549,16 @@ impl State {
         mut layers: Vec<Vec<i8>>,
         publish: bool,
     ) {
-        if sc.mutation == Mutation::StaleSnapshot {
-            // The seeded bug: publish the snapshot before recovery refreshes it.
-            // The batch stamp is correct — only the ordering is broken.
-            self.slot = Some((batch, layers.clone()));
-        }
+        // The seeded `StaleSnapshot` bug keeps the image as the fetch built it.
+        let stale = (sc.mutation == Mutation::StaleSnapshot).then(|| layers.clone());
         if report.attack_detected() {
             self.recover(sc, report);
             refresh_layers(&self.dram, report, &mut layers);
         }
-        if sc.mutation != Mutation::StaleSnapshot {
-            // The shipped ordering: build → recover → refresh → publish.
-            self.slot = Some((batch, layers));
-        }
-        // Consume `latest()` while still holding the fetch ticket, asserting the
-        // stamp exactly as the engine does. Under `StaleSnapshot` the stamp still
-        // matches — the assert cannot catch the broken ordering, which is the
-        // point: the corrupt-served invariant has to.
-        let (stamp, layers) = self
-            .slot
-            .clone()
-            .expect("the ticket holder published a snapshot");
-        assert_eq!(stamp, batch, "stale snapshot consumed");
         if publish {
             self.fetched = batch + 1;
         }
+        let layers = stale.unwrap_or(layers);
         self.workers[w].phase = Phase::Serving { batch, layers };
     }
 
@@ -700,23 +679,19 @@ impl State {
                 let State {
                     dram, prot, zeroed, ..
                 } = self;
-                let action = rotation_step(dram, prot, &mut buf, &mut acc, |layer, group| {
-                    zeroed.insert((layer, group));
-                });
-                match action {
-                    RotationAction::Resigned { recovered, .. } => {
-                        self.recovery.groups_zeroed += recovered.groups_zeroed;
-                        self.recovery.weights_zeroed += recovered.weights_zeroed;
-                        self.rotation_recovered_groups += recovered.groups_zeroed;
+                let (kind, recovered) =
+                    rotation_step(dram, prot, &mut buf, &mut acc, |layer, group| {
+                        zeroed.insert((layer, group));
+                    });
+                self.recovery.groups_zeroed += recovered.groups_zeroed;
+                self.recovery.weights_zeroed += recovered.weights_zeroed;
+                self.rotation_recovered_groups += recovered.groups_zeroed;
+                if let RotationEventKind::Published(_) = kind {
+                    self.epochs_published += 1;
+                    if sc.mutation == Mutation::NoPreviousEpoch {
+                        // The seeded bug: close the acceptance window at once.
+                        self.prot.retire_previous();
                     }
-                    RotationAction::Published(_) => {
-                        self.epochs_published += 1;
-                        if sc.mutation == Mutation::NoPreviousEpoch {
-                            // The seeded bug: close the acceptance window at once.
-                            self.prot.retire_previous();
-                        }
-                    }
-                    RotationAction::Began(_) | RotationAction::Retired(_) => {}
                 }
                 self.rotations_done += 1;
             }
@@ -808,14 +783,6 @@ impl State {
             Some(report) => {
                 1u8.hash(&mut h);
                 report.flagged.hash(&mut h);
-            }
-        }
-        match &self.slot {
-            None => 0u8.hash(&mut h),
-            Some((batch, layers)) => {
-                1u8.hash(&mut h);
-                batch.hash(&mut h);
-                layers.hash(&mut h);
             }
         }
         self.zeroed.hash(&mut h);

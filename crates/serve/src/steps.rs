@@ -2,8 +2,8 @@
 //! state they touch.
 //!
 //! These are the atomic units of the serve/detect concurrency core: the ticket
-//! holder's fused snapshot build and post-recovery refresh, the re-keying tick, the
-//! scrubber's incremental sweep, and the walk over a detection report's flagged
+//! holder's fused image build and post-recovery refresh, the batcher's re-keying
+//! tick and incremental scrub sweep, and the walk over a detection report's flagged
 //! layers. The OS-scheduled engine ([`crate::engine`])
 //! calls them under its `RwLock` guards; the deterministic schedule model-checker
 //! ([`crate::schedule`]) calls the *same* functions in exhaustively enumerated
@@ -21,9 +21,10 @@ use radar_memsim::WeightDram;
 use radar_obs::Stopwatch;
 
 use crate::recovery::recover_in_dram_traced;
+use crate::telemetry::RotationEventKind;
 
-/// The per-batch snapshot build: one fused fetch-and-verify pass over every layer's
-/// DRAM bytes into the shared snapshot buffers `layers` — the batch's single sweep
+/// The per-batch image build: one fused fetch-and-verify pass over every layer's
+/// DRAM bytes into the serving worker's image `layers` — the batch's single sweep
 /// over the weight stream. With `prot` provided, each layer runs the fused kernel
 /// ([`RadarProtection::fetch_verify_layer_at_epoch_with_scratch`]) under the
 /// [`KeyEpoch`] the builder pinned at its fetch ticket: the bytes are copied out
@@ -34,9 +35,9 @@ use crate::recovery::recover_in_dram_traced;
 /// against the matching retained store either way. Without a protection the build
 /// is a plain per-layer copy.
 ///
-/// `layers` is resized to the layer count and refilled; capacities recycle across
-/// builds (the engine pools retired snapshot buffers). Returns the merged
-/// detection report (empty when `prot` is `None`).
+/// `layers` is resized to the layer count and refilled in place, so a worker's
+/// image allocates on its first build only. Returns the merged detection report
+/// (empty when `prot` is `None`).
 ///
 /// `checking` accumulates the *whole* fused sweep time: copy and check are one
 /// pass here, so verify-duty attributes the entire fetch stream to verification —
@@ -70,38 +71,17 @@ pub(crate) fn build_snapshot(
 }
 
 /// Re-reads every layer `report` flagged from `dram` into `layers` — the refresh a
-/// builder runs after an in-path recovery zeroed groups, so the snapshot it
-/// publishes holds the recovered (zeroed) bytes, never the corrupted ones. This is
-/// the only post-recovery read path: workers consume published snapshots and never
-/// touch DRAM themselves.
+/// worker runs after an in-path recovery zeroed groups, so the image it serves
+/// holds the recovered (zeroed) bytes, never the corrupted ones. This and
+/// [`build_snapshot`] are a worker's only reads of DRAM.
 pub(crate) fn refresh_layers(dram: &WeightDram, report: &DetectionReport, layers: &mut [Vec<i8>]) {
     for layer in flagged_layers(report) {
         dram.read_layer_into(layer, &mut layers[layer]);
     }
 }
 
-/// What one tick of the background re-keying task did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RotationAction {
-    /// A roll to the returned epoch began (keys derived, placeholder store allocated).
-    Began(KeyEpoch),
-    /// One layer was verified under the current epoch, recovered if flagged, and
-    /// signed into the pending epoch's store.
-    Resigned {
-        /// The re-signed layer.
-        layer: usize,
-        /// Recovery work the pre-sign check performed on that layer.
-        recovered: RecoveryReport,
-    },
-    /// The fully re-signed epoch was published; the old epoch is retained as
-    /// `previous` for pinned in-flight verification.
-    Published(KeyEpoch),
-    /// The previous epoch's acceptance window closed.
-    Retired(KeyEpoch),
-}
-
-/// One tick of the online re-keying task: exactly one rotation action, chosen from
-/// the protection's own epoch state so the engine thread and the schedule
+/// One tick of online re-keying: exactly one rotation action, chosen from the
+/// protection's own epoch state so the engine's batcher and the schedule
 /// model-checker drive the identical state machine:
 ///
 /// 1. while a roll is in progress, re-sign the next layer — verifying it under the
@@ -112,9 +92,10 @@ pub(crate) enum RotationAction {
 /// 4. otherwise begin the next roll.
 ///
 /// A full roll of an `L`-layer model is therefore `L + 3` ticks: begin, `L`
-/// re-signs, publish, retire. `on_zeroed(layer, group)` observes every group the
-/// pre-sign recovery zeroed (the checker's accounting hook; the engine passes a
-/// no-op).
+/// re-signs, publish, retire. Returns the action taken and the recovery work the
+/// pre-sign check performed (empty unless a re-sign tick found corruption).
+/// `on_zeroed(layer, group)` observes every group that recovery zeroed (the
+/// checker's accounting hook; the engine passes a no-op).
 ///
 /// Callers must hold exclusive access to both `prot` and `dram`, like any recovery.
 pub(crate) fn rotation_step(
@@ -123,28 +104,31 @@ pub(crate) fn rotation_step(
     buf: &mut Vec<i8>,
     acc: &mut Vec<i32>,
     on_zeroed: impl FnMut(usize, usize),
-) -> RotationAction {
-    if let Some(layer) = prot.next_unsigned_layer() {
+) -> (RotationEventKind, RecoveryReport) {
+    let mut recovered = RecoveryReport::default();
+    let kind = if let Some(layer) = prot.next_unsigned_layer() {
         dram.read_layer_into(layer, buf);
         let report = prot.verify_layer_values_with_scratch(layer, buf, acc);
-        let mut recovered = RecoveryReport::default();
         if report.attack_detected() {
             recovered = recover_in_dram_traced(prot, dram, &report, on_zeroed);
             dram.read_layer_into(layer, buf);
         }
         prot.resign_layer(layer, buf);
-        return RotationAction::Resigned { layer, recovered };
-    }
-    if prot.rotation_in_progress() {
-        return RotationAction::Published(prot.publish_epoch());
-    }
-    if let Some(retired) = prot.retire_previous() {
-        return RotationAction::Retired(retired);
-    }
-    RotationAction::Began(prot.begin_rotation())
+        RotationEventKind::Resigned {
+            layer,
+            groups_recovered: recovered.groups_zeroed,
+        }
+    } else if prot.rotation_in_progress() {
+        RotationEventKind::Published(prot.publish_epoch())
+    } else if let Some(retired) = prot.retire_previous() {
+        RotationEventKind::Retired(retired)
+    } else {
+        RotationEventKind::Began(prot.begin_rotation())
+    };
+    (kind, recovered)
 }
 
-/// One scrubber sweep step: verifies `step` layers of the DRAM image starting at
+/// One scrub sweep step: verifies `step` layers of the DRAM image starting at
 /// `cursor` (wrapping), straight from the stored bytes — no model replica involved.
 /// Returns the merged detection report for the swept slice.
 pub(crate) fn scrub_sweep(
@@ -170,7 +154,7 @@ pub(crate) fn scrub_sweep(
 /// deduplicated, so adjacent-duplicate suppression is exact.)
 ///
 /// [`refresh_layers`] walks this after an in-path recovery to re-read exactly the
-/// recovered layers into the pending snapshot, so inference consumes the zeroed —
+/// recovered layers into the worker's image, so inference consumes the zeroed —
 /// not corrupted — weights.
 pub(crate) fn flagged_layers(report: &DetectionReport) -> impl Iterator<Item = usize> + '_ {
     let mut last = None;
@@ -293,22 +277,31 @@ mod tests {
         let (mut radar, mut dram) = setup();
         let num_layers = dram.num_layers();
         let (mut buf, mut acc) = (Vec::new(), Vec::new());
-        let mut tick = || rotation_step(&mut dram, &mut radar, &mut buf, &mut acc, |_, _| {});
+        let mut tick = || {
+            let (kind, recovered) =
+                rotation_step(&mut dram, &mut radar, &mut buf, &mut acc, |_, _| {});
+            assert_eq!(
+                recovered,
+                RecoveryReport::default(),
+                "a clean roll recovers nothing"
+            );
+            kind
+        };
 
-        assert_eq!(tick(), RotationAction::Began(KeyEpoch::new(1)));
+        assert_eq!(tick(), RotationEventKind::Began(KeyEpoch::new(1)));
         for layer in 0..num_layers {
             assert_eq!(
                 tick(),
-                RotationAction::Resigned {
+                RotationEventKind::Resigned {
                     layer,
-                    recovered: radar_core::RecoveryReport::default()
+                    groups_recovered: 0
                 }
             );
         }
-        assert_eq!(tick(), RotationAction::Published(KeyEpoch::new(1)));
-        assert_eq!(tick(), RotationAction::Retired(KeyEpoch::ZERO));
+        assert_eq!(tick(), RotationEventKind::Published(KeyEpoch::new(1)));
+        assert_eq!(tick(), RotationEventKind::Retired(KeyEpoch::ZERO));
         // The cycle restarts.
-        assert_eq!(tick(), RotationAction::Began(KeyEpoch::new(2)));
+        assert_eq!(tick(), RotationEventKind::Began(KeyEpoch::new(2)));
         assert_eq!(radar.current_epoch(), KeyEpoch::new(1));
     }
 
@@ -321,13 +314,17 @@ mod tests {
         dram.flip_bit(offset, MSB);
         let (mut buf, mut acc) = (Vec::new(), Vec::new());
         let mut zeroed = Vec::new();
-        let action = rotation_step(&mut dram, &mut radar, &mut buf, &mut acc, |layer, group| {
-            zeroed.push((layer, group))
-        });
-        let RotationAction::Resigned { layer, recovered } = action else {
-            panic!("expected a resign tick, got {action:?}");
-        };
-        assert_eq!(layer, 0);
+        let (kind, recovered) =
+            rotation_step(&mut dram, &mut radar, &mut buf, &mut acc, |layer, group| {
+                zeroed.push((layer, group))
+            });
+        assert_eq!(
+            kind,
+            RotationEventKind::Resigned {
+                layer: 0,
+                groups_recovered: 1
+            }
+        );
         assert_eq!(recovered.groups_zeroed, 1);
         assert_eq!(zeroed, vec![(0, radar.group_of(0, 3))]);
         assert_eq!(dram.read(offset), 0, "corruption must be zeroed in DRAM");
@@ -335,7 +332,7 @@ mod tests {
         // corruption was never blessed into the new golden store.
         while !matches!(
             rotation_step(&mut dram, &mut radar, &mut buf, &mut acc, |_, _| {}),
-            RotationAction::Published(_)
+            (RotationEventKind::Published(_), _)
         ) {}
         dram.read_layer_into(0, &mut buf);
         assert!(!radar
@@ -353,7 +350,7 @@ mod tests {
         let (mut buf, mut acc) = (Vec::new(), Vec::new());
         while !matches!(
             rotation_step(&mut dram, &mut radar, &mut buf, &mut acc, |_, _| {}),
-            RotationAction::Published(_)
+            (RotationEventKind::Published(_), _)
         ) {}
         assert_eq!(radar.previous_epoch(), Some(pinned));
         dram.flip_bit(dram.offset_of(1, 2), MSB);

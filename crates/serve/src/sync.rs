@@ -2,8 +2,8 @@
 //!
 //! Everything the engine uses to order its threads lives here: the batch-order
 //! [`FetchTicket`] (one atomic, published with Release, observed with Acquire), the
-//! bounded spin-wait underneath it, and the poison-tolerant lock helpers the worker
-//! loops use instead of `expect` on every acquisition.
+//! bounded spin-wait underneath it, and the poison-tolerant lock helpers the batcher
+//! and the workers use instead of `expect` on every acquisition.
 //!
 //! Concentrating the ordering primitives in one file is deliberate: the
 //! `atomics-barrier` rule in `crates/analyze/lints.toml` forbids `Ordering::Relaxed`
@@ -13,10 +13,9 @@
 //! engine.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
-use radar_core::KeyEpoch;
 use radar_obs::Stopwatch;
 
 /// Busy-wait iterations spent on [`std::hint::spin_loop`] before each wait falls
@@ -71,8 +70,9 @@ pub(crate) fn spin_wait_watchdog(
 /// The serving engine's fetch ticket: the count of batches whose weight fetch (and
 /// any in-path recovery) has completed. The worker holding batch `current()` is the
 /// one allowed to fetch; everyone else waits. Publishing uses Release and every
-/// observation uses Acquire, so the DRAM reads and snapshot writes of batch `b`'s
-/// fetch happen-before anything batch `b + 1` (or a barrier-gated adversary/scrubber) does.
+/// observation uses Acquire, so the DRAM reads and recovery writes of batch `b`'s
+/// fetch happen-before anything batch `b + 1` (or the batcher's barrier-gated
+/// strike, scrub and rotation steps) does.
 #[derive(Debug, Default)]
 pub(crate) struct FetchTicket {
     fetched: AtomicUsize,
@@ -110,8 +110,8 @@ impl FetchTicket {
     }
 
     /// The fetch barrier: waits until every one of the `dispatched` batches has
-    /// completed its fetch. The batcher calls this before handing control to the
-    /// adversary or the scrubber, so "the strike lands before batch `b`" and "the
+    /// completed its fetch. The batcher calls this before it mounts a strike, sweeps
+    /// or ticks the key rotation, so "the strike lands before batch `b`" and "the
     /// sweep runs between batches" are exact statements about which traffic saw which
     /// weight state — the property that makes attacked serving runs replay
     /// deterministically.
@@ -126,111 +126,6 @@ impl FetchTicket {
                 )
             },
         );
-    }
-}
-
-/// One batch's shared, verified weight image: every layer's bytes as copied out of
-/// DRAM by the fused fetch-and-verify sweep, stamped with the [`KeyEpoch`] the
-/// builder pinned at its fetch ticket and the batch whose fetch barrier produced
-/// it. Snapshots are immutable after publication — workers only ever read the
-/// `&[i8]` slices (`forward_with_values`), and recovery refreshes happen in the
-/// build path *before* publish — so one `Arc` serves every consumer of the batch
-/// without further synchronization.
-#[derive(Debug)]
-pub(crate) struct VerifiedSnapshot {
-    batch: usize,
-    epoch: KeyEpoch,
-    layers: Vec<Vec<i8>>,
-}
-
-impl VerifiedSnapshot {
-    /// Stamps `layers` as batch `batch`'s image, verified under `epoch`.
-    pub(crate) fn new(batch: usize, epoch: KeyEpoch, layers: Vec<Vec<i8>>) -> Self {
-        VerifiedSnapshot {
-            batch,
-            epoch,
-            layers,
-        }
-    }
-
-    /// The batch whose fetch barrier built this snapshot.
-    pub(crate) fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// The key epoch the snapshot's signatures were verified under.
-    pub(crate) fn epoch(&self) -> KeyEpoch {
-        self.epoch
-    }
-
-    /// The per-layer weight values, in layer order.
-    pub(crate) fn layers(&self) -> &[Vec<i8>] {
-        &self.layers
-    }
-}
-
-/// The snapshot lifecycle's publish/consume seam: holds the latest published
-/// [`VerifiedSnapshot`] and parks superseded ones until their last consumer drops,
-/// at which point their layer buffers are reclaimed for the next build — the
-/// *retire* step of the lifecycle (fetch barrier → build → publish → consume →
-/// retire), which keeps the steady-state build allocation-free.
-///
-/// Ordering: a snapshot is published *before* the builder releases the fetch
-/// ticket ([`FetchTicket::publish`]'s Release store), so any thread that observed
-/// the ticket advance also observes the published snapshot — the same
-/// happens-before edge that orders the build's DRAM reads.
-#[derive(Debug, Default)]
-pub(crate) struct SnapshotSlot {
-    published: Mutex<Option<Arc<VerifiedSnapshot>>>,
-    retired: Mutex<Vec<Arc<VerifiedSnapshot>>>,
-}
-
-impl SnapshotSlot {
-    /// An empty slot: nothing published, nothing to reclaim.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Publishes `snapshot` as the latest verified image and returns the consuming
-    /// handle for its batch. The previously published snapshot is retired — parked
-    /// until every consumer drops its handle, when [`acquire_buffers`](Self::acquire_buffers)
-    /// reclaims its allocations.
-    pub(crate) fn publish(&self, snapshot: VerifiedSnapshot) -> Arc<VerifiedSnapshot> {
-        let snap = Arc::new(snapshot);
-        let prev = lock(&self.published).replace(Arc::clone(&snap));
-        if let Some(prev) = prev {
-            lock(&self.retired).push(prev);
-        }
-        snap
-    }
-
-    /// The most recently published snapshot, if any — the consume side of the
-    /// protocol. Callers must check [`VerifiedSnapshot::batch`] against the batch
-    /// they are serving: consuming a snapshot stamped with an older batch means
-    /// the publish was skipped or reordered (the `StaleSnapshot` mutation the
-    /// schedule model-checker hunts).
-    pub(crate) fn latest(&self) -> Option<Arc<VerifiedSnapshot>> {
-        lock(&self.published).clone()
-    }
-
-    /// Reclaims the layer buffers of a retired snapshot whose consumers have all
-    /// dropped, or `None` when every retired snapshot is still being read. The
-    /// returned buffers keep their capacities, so a steady-state builder cycles
-    /// between at most a handful of images without new allocations.
-    pub(crate) fn acquire_buffers(&self) -> Option<Vec<Vec<i8>>> {
-        let mut retired = lock(&self.retired);
-        let mut idx = 0;
-        while idx < retired.len() {
-            if Arc::strong_count(&retired[idx]) == 1 {
-                match Arc::try_unwrap(retired.swap_remove(idx)) {
-                    Ok(snapshot) => return Some(snapshot.layers),
-                    // A consumer raced a clone in after the count read: repark it.
-                    Err(arc) => retired.push(arc),
-                }
-            }
-            idx += 1;
-        }
-        None
     }
 }
 
@@ -296,31 +191,6 @@ mod tests {
             .expect("watchdog panics with a formatted message");
         assert!(message.contains("watchdog"), "got: {message}");
         assert!(message.contains("ticket stuck at 7"), "got: {message}");
-    }
-
-    #[test]
-    fn snapshot_slot_publishes_consumes_and_recycles() {
-        let slot = SnapshotSlot::new();
-        assert!(slot.latest().is_none());
-        assert!(slot.acquire_buffers().is_none());
-        let first = slot.publish(VerifiedSnapshot::new(0, KeyEpoch::ZERO, vec![vec![1i8, 2]]));
-        assert_eq!(slot.latest().map(|s| s.batch()), Some(0));
-        assert_eq!(first.epoch(), KeyEpoch::ZERO);
-        assert_eq!(first.layers(), &[vec![1i8, 2]]);
-        let second = slot.publish(VerifiedSnapshot::new(1, KeyEpoch::ZERO, vec![vec![3i8]]));
-        // `first` is retired but this handle still reads it: not reclaimable yet.
-        assert!(slot.acquire_buffers().is_none());
-        drop(first);
-        let buffers = slot
-            .acquire_buffers()
-            .expect("retired snapshot with no consumers is reclaimed");
-        assert_eq!(
-            buffers,
-            vec![vec![1i8, 2]],
-            "capacities recycle with the bytes"
-        );
-        assert_eq!(slot.latest().map(|s| s.batch()), Some(1));
-        drop(second);
     }
 
     #[test]

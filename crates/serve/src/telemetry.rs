@@ -1,14 +1,12 @@
 //! The serving engine's telemetry, as a **view over the `radar-obs` registry and
 //! journal**.
 //!
-//! [`Telemetry`] no longer owns bespoke vectors-of-everything: threads record
-//! through per-thread [`ObsShard`]s (or the shared convenience methods below,
-//! which journal through one internal shard), and [`finish`](Telemetry::finish)
-//! derives the [`ServeOutcome`] — detections, strikes, rotations, recovery
-//! totals, duty cycles, the latency histogram — from the merged
-//! [`ObsReport`]. The outcome's shape (and with it the `BENCH_serve.json`
-//! schema) is unchanged from the pre-obs implementation; the raw report rides
-//! along in [`ServeOutcome::obs`] for exporters and replay tests.
+//! Every thread records through its own [`ObsShard`] — directly, or through the
+//! [`Telemetry`] recording helpers, which take the caller's shard — and
+//! [`finish`](Telemetry::finish) derives the [`ServeOutcome`] (detections, strikes,
+//! rotations, recovery totals, duty cycles, the latency histogram) from the merged
+//! [`ObsReport`]. The raw report rides along in [`ServeOutcome::obs`] for exporters
+//! and replay tests.
 
 use std::sync::Mutex;
 
@@ -26,7 +24,7 @@ pub mod metric {
     pub const LATENCY_NS: &str = "serve.latency_ns";
     /// Nanoseconds spent in fetch-path signature verification.
     pub const VERIFY_NS: &str = "serve.verify_ns";
-    /// Nanoseconds the scrubber spent sweeping.
+    /// Nanoseconds the batcher spent in scrub sweeps.
     pub const SCRUB_NS: &str = "serve.scrub_ns";
     /// Nanoseconds workers spent in the forward pass.
     pub const INFER_NS: &str = "serve.infer_ns";
@@ -36,15 +34,12 @@ pub mod metric {
     pub const STRIKES_NEVER_FIRED: &str = "serve.strikes_never_fired";
     /// Verification passes that flagged at least one group.
     pub const DETECTIONS: &str = "serve.detections";
-    /// Shared snapshots built and published (one per batch; labelled per builder
-    /// worker).
+    /// Verified weight images built (one per batch, by the batch's worker; labelled
+    /// per worker).
     pub const SNAPSHOT_PUBLISHES: &str = "serve.snapshot_publishes";
-    /// Consumptions of a published snapshot (handles taken for inference — with
-    /// one worker per batch this equals publishes; a fleet sharing one snapshot
-    /// across workers drives hits above publishes).
-    pub const SNAPSHOT_HITS: &str = "serve.snapshot_hits";
-    /// Retired snapshot buffer sets reclaimed for a later build (allocation
-    /// recycling; builds minus reclaims bounds the images concurrently alive).
+    /// Builds that refilled the worker's existing image instead of allocating one
+    /// (builds minus reclaims is the number of images ever allocated, at most one
+    /// per worker).
     pub const SNAPSHOT_RECLAIMS: &str = "serve.snapshot_reclaims";
 }
 
@@ -77,7 +72,7 @@ pub struct AttackStrike {
 pub struct DetectionEvent {
     /// Batch index (logical clock) the detecting pass is attributed to.
     pub batch: usize,
-    /// Whether the background scrubber (rather than the in-path check) detected it.
+    /// Whether the scrub sweep (rather than the in-path check) detected it.
     pub via_scrub: bool,
     /// Number of groups flagged by the pass.
     pub groups_flagged: usize,
@@ -85,7 +80,7 @@ pub struct DetectionEvent {
     pub at_seconds: f64,
 }
 
-/// One action of the background re-keying task, on the batcher's logical clock.
+/// One re-keying action, on the batcher's logical clock.
 ///
 /// Deliberately wall-clock-free: rotation progress is part of a run's *logical*
 /// outcome, so the event stream of a seeded run must be identical across replays.
@@ -156,15 +151,15 @@ impl RotationEventKind {
     }
 }
 
-/// Thread-shared telemetry collector: workers, the scrubber, the re-keying task and
-/// the adversary all record into it — either through their own [`ObsShard`] (hot
-/// paths) or through the shared convenience methods below (rare events) — and
+/// Thread-shared telemetry collector: the batcher and the workers each record into
+/// their own [`ObsShard`] and flush it here at barrier points, and
 /// [`finish`](Telemetry::finish) folds everything into a [`ServeOutcome`].
 #[derive(Debug)]
 pub struct Telemetry {
+    /// Collects with an unbounded journal, so `finish` derives the view from every
+    /// event before it applies `journal_capacity`.
     core: ObsCore,
-    /// Backs the `&self` convenience methods; flushed into the core at `finish`.
-    shared: Mutex<ObsShard>,
+    journal_capacity: usize,
     completions: Mutex<Vec<RequestRecord>>,
 }
 
@@ -185,11 +180,12 @@ impl Telemetry {
     /// Creates a collector recording at the given observability config.
     #[must_use]
     pub fn with_config(config: ObsConfig) -> Self {
-        let core = ObsCore::new(config);
-        let shared = Mutex::new(core.shard(Tid::Batcher));
         Telemetry {
-            core,
-            shared,
+            core: ObsCore::new(ObsConfig {
+                journal_capacity: usize::MAX,
+                ..config
+            }),
+            journal_capacity: config.journal_capacity,
             completions: Mutex::new(Vec::new()),
         }
     }
@@ -212,19 +208,14 @@ impl Telemetry {
         self.core.flush(shard);
     }
 
-    fn with_shared(&self, record: impl FnOnce(&mut ObsShard)) {
-        let mut shared = self
-            .shared
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        record(&mut shared);
-    }
-
-    /// Records a completed request (also feeds the latency histogram).
-    pub fn complete(&self, record: RequestRecord) {
-        self.with_shared(|shard| {
-            shard.force_record_ns(metric::LATENCY_NS, Labels::none(), record.latency_ns);
-        });
+    /// Records a completed request; its latency feeds the histogram under the
+    /// recording worker's label.
+    pub fn complete(&self, shard: &mut ObsShard, record: RequestRecord) {
+        let labels = match shard.tid() {
+            Tid::Worker(w) => Labels::none().worker(u32::from(w)),
+            Tid::Batcher => Labels::none(),
+        };
+        shard.force_record_ns(metric::LATENCY_NS, labels, record.latency_ns);
         self.completions
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -232,85 +223,76 @@ impl Telemetry {
     }
 
     /// Records an adversary strike.
-    pub fn strike(&self, batch: usize, mount: MountReport) {
-        self.with_shared(|shard| {
-            shard.force_add(metric::STRIKES, Labels::none(), 1);
-            shard.event(
-                batch as u64,
-                Track::Strike,
-                EventKind::Strike {
-                    flips_landed: mount.flips_landed as u64,
-                    flips_missed: mount.flips_missed as u64,
-                    rows_hammered: mount.rows_hammered as u64,
-                },
-            );
-        });
+    pub fn strike(shard: &mut ObsShard, batch: usize, mount: MountReport) {
+        shard.force_add(metric::STRIKES, Labels::none(), 1);
+        shard.event(
+            batch as u64,
+            Track::Strike,
+            EventKind::Strike {
+                flips_landed: mount.flips_landed as u64,
+                flips_missed: mount.flips_missed as u64,
+                rows_hammered: mount.rows_hammered as u64,
+            },
+        );
     }
 
     /// Records that `remaining` scripted strikes never fired because the run ended
-    /// before their batch offsets (`batch` is the adversary's last observed batch).
-    pub fn strike_never_fired(&self, batch: usize, remaining: usize) {
-        self.with_shared(|shard| {
-            shard.force_add(
-                metric::STRIKES_NEVER_FIRED,
-                Labels::none(),
-                remaining as u64,
-            );
-            shard.event(
-                batch as u64,
-                Track::Strike,
-                EventKind::StrikeNeverFired {
-                    remaining: remaining as u64,
-                },
-            );
-        });
+    /// before their batch offsets (`batch` is the last batch a strike fired at).
+    pub fn strike_never_fired(shard: &mut ObsShard, batch: usize, remaining: usize) {
+        shard.force_add(
+            metric::STRIKES_NEVER_FIRED,
+            Labels::none(),
+            remaining as u64,
+        );
+        shard.event(
+            batch as u64,
+            Track::Strike,
+            EventKind::StrikeNeverFired {
+                remaining: remaining as u64,
+            },
+        );
     }
 
-    /// Records a detection event.
-    pub fn detection(&self, batch: usize, via_scrub: bool, groups_flagged: usize) {
+    /// Records a detection event, on the scrub track for a scrub sweep and on the
+    /// fetch track for the in-path check.
+    pub fn detection(shard: &mut ObsShard, batch: usize, via_scrub: bool, groups_flagged: usize) {
         let track = if via_scrub {
             Track::Scrub
         } else {
             Track::Fetch
         };
-        self.with_shared(|shard| {
-            shard.force_add(metric::DETECTIONS, Labels::none(), 1);
-            shard.event(
-                batch as u64,
-                track,
-                EventKind::Detect {
-                    via_scrub,
-                    groups_flagged: groups_flagged as u64,
-                },
-            );
-        });
+        shard.force_add(metric::DETECTIONS, Labels::none(), 1);
+        shard.event(
+            batch as u64,
+            track,
+            EventKind::Detect {
+                via_scrub,
+                groups_flagged: groups_flagged as u64,
+            },
+        );
     }
 
-    /// Records a rotation tick (only the re-keying task appends, so the journal's
-    /// rotate track is already in logical-clock order).
-    pub fn rotation(&self, event: RotationEvent) {
-        self.with_shared(|shard| {
-            shard.event(
-                event.batch as u64,
-                Track::Rotate,
-                EventKind::Rotation(event.kind.to_journal()),
-            );
-        });
+    /// Records a rotation tick (only the batcher ticks, so the journal's rotate
+    /// track is already in logical-clock order).
+    pub fn rotation(shard: &mut ObsShard, event: RotationEvent) {
+        shard.event(
+            event.batch as u64,
+            Track::Rotate,
+            EventKind::Rotation(event.kind.to_journal()),
+        );
     }
 
     /// Records a recovery pass on the given logical track (fetch for in-path,
-    /// scrub for the background sweep, rotate for pre-sign recoveries).
-    pub fn recovered(&self, batch: usize, track: Track, recovery: RecoveryReport) {
-        self.with_shared(|shard| {
-            shard.event(
-                batch as u64,
-                track,
-                EventKind::Recover {
-                    groups_zeroed: recovery.groups_zeroed as u64,
-                    weights_zeroed: recovery.weights_zeroed as u64,
-                },
-            );
-        });
+    /// scrub for the scrub sweep, rotate for pre-sign recoveries).
+    pub fn recovered(shard: &mut ObsShard, batch: usize, track: Track, recovery: RecoveryReport) {
+        shard.event(
+            batch as u64,
+            track,
+            EventKind::Recover {
+                groups_zeroed: recovery.groups_zeroed as u64,
+                weights_zeroed: recovery.weights_zeroed as u64,
+            },
+        );
     }
 
     /// Folds everything collected into a [`ServeOutcome`].
@@ -322,21 +304,18 @@ impl Telemetry {
     pub fn finish(self, batches: usize, workers: usize, window: usize) -> ServeOutcome {
         let Telemetry {
             core,
-            shared,
+            journal_capacity,
             completions,
         } = self;
-        let mut shared = shared
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        core.flush(&mut shared);
-        let obs = core.finish();
+        let mut obs = core.finish();
 
         let mut completions = completions
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         completions.sort_unstable_by_key(|r| r.id);
 
-        // The journal is canonically ordered; project the view structs out of it.
+        // The journal is canonically ordered and still holds every flushed event;
+        // project the view structs out of it before applying the capacity bound.
         let mut strikes: Vec<AttackStrike> = Vec::new();
         let mut detections: Vec<DetectionEvent> = Vec::new();
         let mut rotations: Vec<RotationEvent> = Vec::new();
@@ -434,6 +413,7 @@ impl Telemetry {
             })
         });
 
+        obs.journal.keep_latest(journal_capacity);
         let wall_seconds = obs.wall_seconds;
         let latency = obs.registry.histogram_merged(metric::LATENCY_NS);
         let verify_seconds = obs.registry.counter_sum(metric::VERIFY_NS) as f64 / 1e9;
@@ -495,7 +475,7 @@ pub struct TimeToDetect {
     pub requests: usize,
     /// Wall-clock seconds from the strike to the detection.
     pub seconds: f64,
-    /// Whether the scrubber (rather than the in-path check) made the detection.
+    /// Whether a scrub sweep (rather than the in-path check) made the detection.
     pub via_scrub: bool,
 }
 
@@ -539,19 +519,19 @@ pub struct ServeOutcome {
     pub latency: LatencyHistogram,
     /// Total seconds workers spent in fetch-path verification.
     pub verify_seconds: f64,
-    /// Total seconds the scrubber spent sweeping.
+    /// Total seconds spent in scrub sweeps.
     pub scrub_seconds: f64,
     /// Total seconds workers spent in the forward pass.
     pub infer_seconds: f64,
     /// Fetch-path verification duty cycle (verify time over total worker time).
     pub verify_duty: f64,
-    /// Scrubber duty cycle (scrub time over wall time).
+    /// Scrub duty cycle (scrub time over wall time).
     pub scrub_duty: f64,
     /// Aggregate adversary activity (`None` for clean runs).
     pub attack: Option<AttackSummary>,
     /// Every detection event, in logical order.
     pub detections: Vec<DetectionEvent>,
-    /// Every rotation tick of the background re-keying task, in logical order
+    /// Every rotation tick, in logical order
     /// (empty when rotation is disabled).
     pub rotations: Vec<RotationEvent>,
     /// Detection latency for the first strike (`None` when nothing was detected or
@@ -586,7 +566,7 @@ impl ServeOutcome {
         self.windows.last().map_or(0.0, AccuracyWindow::percent)
     }
 
-    /// Number of epochs the re-keying task published during the run.
+    /// Number of epochs the rotation ticks published during the run.
     #[must_use]
     pub fn epochs_published(&self) -> usize {
         self.rotations
@@ -632,13 +612,30 @@ mod tests {
         }
     }
 
+    fn mount(flips_landed: usize, flips_missed: usize) -> MountReport {
+        MountReport {
+            flips_landed,
+            flips_missed,
+            rows_hammered: 2,
+        }
+    }
+
+    /// Flushes `shard` and finishes the session with the given batch count, one
+    /// worker and a window of 4.
+    fn finish(telemetry: Telemetry, mut shard: ObsShard, batches: usize) -> ServeOutcome {
+        telemetry.flush(&mut shard);
+        telemetry.finish(batches, 1, 4)
+    }
+
     #[test]
     fn windows_chunk_by_request_id_in_order() {
         let telemetry = Telemetry::new();
+        let mut shard = telemetry.shard(Tid::Worker(1));
         // Complete out of order; windows must still chunk by id.
         for id in [3usize, 0, 2, 1, 4] {
-            telemetry.complete(record(id, id / 2, id != 2));
+            telemetry.complete(&mut shard, record(id, id / 2, id != 2));
         }
+        telemetry.flush(&mut shard);
         let outcome = telemetry.finish(3, 2, 2);
         assert_eq!(outcome.requests, 5);
         assert_eq!(outcome.windows.len(), 3);
@@ -648,24 +645,25 @@ mod tests {
         assert_eq!(outcome.windows[2].total, 1);
         assert!((outcome.overall_percent() - 80.0).abs() < 1e-9);
         assert_eq!(outcome.latency.count(), 5);
+        // The latency histogram carries the recording worker's label.
+        let rendered = outcome.obs.registry.render_lines().join("\n");
+        assert!(
+            rendered.contains("serve.latency_ns{worker=1}"),
+            "got:\n{rendered}"
+        );
     }
 
     #[test]
     fn time_to_detect_counts_requests_between_strike_and_detection() {
         let telemetry = Telemetry::new();
+        let mut shard = telemetry.shard(Tid::Batcher);
+        // Batches 0..6, two requests each.
         for id in 0..12 {
-            telemetry.complete(record(id, id / 2, true)); // batches 0..6, 2 requests each
+            telemetry.complete(&mut shard, record(id, id / 2, true));
         }
-        telemetry.strike(
-            2,
-            MountReport {
-                flips_landed: 3,
-                flips_missed: 1,
-                rows_hammered: 2,
-            },
-        );
-        telemetry.detection(5, true, 4);
-        let outcome = telemetry.finish(6, 1, 4);
+        Telemetry::strike(&mut shard, 2, mount(3, 1));
+        Telemetry::detection(&mut shard, 5, true, 4);
+        let outcome = finish(telemetry, shard, 6);
         let ttd = outcome.time_to_detect.expect("attacked and detected");
         assert_eq!(ttd.batches, 3);
         // Requests in batches 2..5 = ids 4..10 → 6 requests.
@@ -679,32 +677,20 @@ mod tests {
     #[test]
     fn detection_before_strike_batch_is_ignored_for_ttd() {
         let telemetry = Telemetry::new();
-        telemetry.strike(
-            4,
-            MountReport {
-                flips_landed: 1,
-                flips_missed: 0,
-                rows_hammered: 1,
-            },
-        );
-        telemetry.detection(1, false, 1); // stale / unrelated
-        let outcome = telemetry.finish(6, 1, 4);
+        let mut shard = telemetry.shard(Tid::Batcher);
+        Telemetry::strike(&mut shard, 4, mount(1, 0));
+        Telemetry::detection(&mut shard, 1, false, 1); // stale / unrelated
+        let outcome = finish(telemetry, shard, 6);
         assert!(outcome.time_to_detect.is_none());
     }
 
     #[test]
     fn strike_that_landed_nothing_yields_no_ttd() {
         let telemetry = Telemetry::new();
-        telemetry.strike(
-            2,
-            MountReport {
-                flips_landed: 0,
-                flips_missed: 5,
-                rows_hammered: 1,
-            },
-        );
-        telemetry.detection(3, false, 1);
-        let outcome = telemetry.finish(4, 1, 4);
+        let mut shard = telemetry.shard(Tid::Batcher);
+        Telemetry::strike(&mut shard, 2, mount(0, 5));
+        Telemetry::detection(&mut shard, 3, false, 1);
+        let outcome = finish(telemetry, shard, 4);
         assert!(outcome.attack.is_some());
         assert!(outcome.time_to_detect.is_none());
     }
@@ -712,17 +698,11 @@ mod tests {
     #[test]
     fn multiple_strikes_merge_mount_reports() {
         let telemetry = Telemetry::new();
+        let mut shard = telemetry.shard(Tid::Batcher);
         for batch in [2usize, 6] {
-            telemetry.strike(
-                batch,
-                MountReport {
-                    flips_landed: 2,
-                    flips_missed: 1,
-                    rows_hammered: 2,
-                },
-            );
+            Telemetry::strike(&mut shard, batch, mount(2, 1));
         }
-        let outcome = telemetry.finish(8, 1, 4);
+        let outcome = finish(telemetry, shard, 8);
         let attack = outcome.attack.expect("strikes recorded");
         assert_eq!(attack.strikes, 2);
         assert_eq!(attack.first_batch, 2);
@@ -733,17 +713,12 @@ mod tests {
     #[test]
     fn the_view_is_a_projection_of_the_journal_and_registry() {
         let telemetry = Telemetry::new();
-        telemetry.complete(record(0, 0, true));
-        telemetry.strike(
-            1,
-            MountReport {
-                flips_landed: 1,
-                flips_missed: 0,
-                rows_hammered: 1,
-            },
-        );
-        telemetry.detection(2, false, 3);
-        telemetry.recovered(
+        let mut shard = telemetry.shard(Tid::Batcher);
+        telemetry.complete(&mut shard, record(0, 0, true));
+        Telemetry::strike(&mut shard, 1, mount(1, 0));
+        Telemetry::detection(&mut shard, 2, false, 3);
+        Telemetry::recovered(
+            &mut shard,
             2,
             Track::Fetch,
             RecoveryReport {
@@ -751,12 +726,15 @@ mod tests {
                 weights_zeroed: 48,
             },
         );
-        telemetry.rotation(RotationEvent {
-            batch: 3,
-            kind: RotationEventKind::Published(KeyEpoch::new(1)),
-        });
-        telemetry.strike_never_fired(3, 2);
-        let outcome = telemetry.finish(4, 1, 4);
+        Telemetry::rotation(
+            &mut shard,
+            RotationEvent {
+                batch: 3,
+                kind: RotationEventKind::Published(KeyEpoch::new(1)),
+            },
+        );
+        Telemetry::strike_never_fired(&mut shard, 3, 2);
+        let outcome = finish(telemetry, shard, 4);
         // View fields and raw report agree.
         assert_eq!(outcome.detections.len(), 1);
         assert_eq!(outcome.recovery.groups_zeroed, 3);
@@ -778,5 +756,37 @@ mod tests {
         assert!(journal.contains(r#""event":"strike_never_fired","remaining":2"#));
         assert!(journal.contains(r#""event":"rotation.published","epoch":1"#));
         assert!(journal.contains(r#""event":"recover","groups_zeroed":3"#));
+    }
+
+    #[test]
+    fn a_capped_journal_still_reports_every_strike_and_detection() {
+        // Capacity 1 keeps only the newest journal event; the view must still see
+        // the strike at batch 0 and the detection and recovery at batch 1.
+        let telemetry = Telemetry::with_config(ObsConfig {
+            journal_capacity: 1,
+            ..ObsConfig::default()
+        });
+        let mut shard = telemetry.shard(Tid::Batcher);
+        Telemetry::strike(&mut shard, 0, mount(1, 0));
+        Telemetry::detection(&mut shard, 1, false, 1);
+        Telemetry::recovered(
+            &mut shard,
+            1,
+            Track::Fetch,
+            RecoveryReport {
+                groups_zeroed: 1,
+                weights_zeroed: 16,
+            },
+        );
+        let outcome = finish(telemetry, shard, 2);
+        assert_eq!(outcome.obs.journal.len(), 1);
+        assert_eq!(outcome.obs.journal.dropped(), 2);
+        assert_eq!(outcome.obs.registry.counter_sum(metric::STRIKES), 1);
+        let attack = outcome.attack.expect("the dropped strike still counts");
+        assert_eq!((attack.strikes, attack.first_batch), (1, 0));
+        assert_eq!(outcome.detections.len(), 1);
+        assert_eq!(outcome.recovery.groups_zeroed, 1);
+        let ttd = outcome.time_to_detect.expect("detected one batch later");
+        assert_eq!(ttd.batches, 1);
     }
 }

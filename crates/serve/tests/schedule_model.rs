@@ -155,12 +155,11 @@ fn quiet_rotation_completes_the_roll_without_deadlock_or_divergence() {
 }
 
 #[test]
-fn mutation_publishing_a_stale_snapshot_is_caught() {
-    // Seeded bug: the worker publishes its batch's snapshot to the shared slot
-    // *before* recovery refreshes the flagged layers, then consumes and serves it.
-    // The batch stamp still matches — the consume-side assert cannot catch the
-    // broken build→refresh→publish ordering — so the pre-recovery corruption
-    // reaches traffic and only the corrupt-served invariant can flag it.
+fn mutation_serving_the_pre_refresh_image_is_caught() {
+    // Seeded bug: the worker serves its image as the fetch built it, before
+    // recovery refreshes the flagged layers. Recovery still zeroes the groups in
+    // DRAM, so the final image is clean — only the corrupt-served invariant can
+    // flag the pre-recovery bytes that reached traffic.
     let mut scenario = Scenario::small(2, 3);
     scenario.strike = strike_at(1);
     scenario.mutation = Mutation::StaleSnapshot;

@@ -103,7 +103,8 @@ pub struct InferPoint {
     /// ([`GEMM_CALLS`], counted once — the count is shape-determined, not
     /// thread-count-determined).
     pub gemm_calls: u64,
-    /// Integer-GEMM (N, K) panels per native fetch+forward pass ([`GEMM_PANELS`]).
+    /// Integer-GEMM 16-column tiles per native fetch+forward pass ([`GEMM_PANELS`]:
+    /// one per column tile of each kernel call, every weight row running over it).
     pub gemm_panels: u64,
 }
 
@@ -168,7 +169,7 @@ fn median_seconds(iters: usize, mut f: impl FnMut()) -> f64 {
 /// Runs the benchmark on the paper-width ResNet-20 (no training needed — latency
 /// does not depend on the weight values).
 pub fn bench_infer(params: &InferBenchParams) -> InferBenchOutcome {
-    // Arm the kernel-side global counters so per-pass GEMM call/panel counts can
+    // Arm the kernel-side global counters so per-pass GEMM call/tile counts can
     // be attributed to each measured shape (the binary is single-session, so the
     // process-wide gate is unambiguous here).
     set_global_level(ObsLevel::Counters);
@@ -204,7 +205,7 @@ pub fn bench_infer(params: &InferBenchParams) -> InferBenchOutcome {
         let mut arena: Vec<Vec<i8>> = (0..model.num_layers()).map(|_| Vec::new()).collect();
 
         // One counted (untimed) pass attributes the kernel-side global counters
-        // to this shape: GEMM invocations and (N, K) panels per fetch+forward.
+        // to this shape: GEMM invocations and column tiles per fetch+forward.
         GEMM_CALLS.reset();
         GEMM_PANELS.reset();
         for (layer, buf) in arena.iter_mut().enumerate() {
@@ -290,7 +291,7 @@ impl InferBenchOutcome {
         report.line("float baseline is single-threaded; native sweeps RADAR_GEMM_THREADS");
         for p in &self.points {
             report.line(format!(
-                "{}: {} integer-GEMM calls, {} (N,K) panels per native pass",
+                "{}: {} integer-GEMM calls, {} 16-column tiles per native pass",
                 p.name, p.gemm_calls, p.gemm_panels
             ));
         }

@@ -130,12 +130,6 @@ impl ObsCore {
         self.start
     }
 
-    /// Seconds since the session started.
-    #[must_use]
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.start.elapsed_secs()
-    }
-
     /// Creates a shard for `tid`, sharing the session's level and start anchor.
     #[must_use]
     pub fn shard(&self, tid: Tid) -> ObsShard {

@@ -190,12 +190,6 @@ impl Telemetry {
         }
     }
 
-    /// Seconds elapsed since serving started.
-    #[must_use]
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.core.elapsed_seconds()
-    }
-
     /// Creates a per-thread shard bound to this telemetry's session (level and
     /// clock anchor shared). Flush it back with [`flush`](Self::flush).
     #[must_use]

@@ -116,6 +116,11 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Tensor {
 /// so `im2col_i8(quantize(x)) == quantize(im2col(x))` element-for-element whenever
 /// the same scale is used.
 ///
+/// The unfold moves rows, not bytes: for a stride-1 "same" convolution each
+/// (channel, tap, image) block of valid output rows is one shifted slice copy of
+/// the input plane, and any other geometry gathers each valid row segment with a
+/// strided iterator. Padding stays the zero the output was allocated with.
+///
 /// # Example
 ///
 /// ```
@@ -145,27 +150,62 @@ pub fn im2col_i8(
         data.len()
     );
     let (h_out, w_out) = geom.output_size(h, w);
-    let rows = c * geom.kernel_h * geom.kernel_w;
+    let (kh_n, kw_n, stride, pad) = (geom.kernel_h, geom.kernel_w, geom.stride, geom.padding);
+    let rows = c * kh_n * kw_n;
     let cols = n * h_out * w_out;
     let mut out = vec![0i8; rows * cols];
+    // The output positions `[lo, hi)` along one axis whose input coordinate
+    // `o * stride + tap - pad` lies in `[0, len)`; the rest read padding.
+    let valid = |tap: usize, len: usize, out_len: usize| {
+        let lo = pad.saturating_sub(tap).div_ceil(stride);
+        let hi = (len + pad)
+            .checked_sub(tap + 1)
+            .map_or(0, |last| last / stride + 1);
+        (lo.min(out_len), hi.min(out_len))
+    };
+    let row_ranges: Vec<_> = (0..kh_n).map(|kh| valid(kh, h, h_out)).collect();
+    let col_ranges: Vec<_> = (0..kw_n).map(|kw| valid(kw, w, w_out)).collect();
+    // Stride-1 "same" convolutions keep the input's row pitch, so a tap's whole
+    // block of valid output rows is the input plane shifted by one offset.
+    let same = stride == 1 && h_out == h && w_out == w;
 
     for ni in 0..n {
         for ci in 0..c {
-            for kh in 0..geom.kernel_h {
-                for kw in 0..geom.kernel_w {
-                    let row = ci * geom.kernel_h * geom.kernel_w + kh * geom.kernel_w + kw;
-                    for oh in 0..h_out {
-                        let ih = (oh * geom.stride + kh) as isize - geom.padding as isize;
-                        for ow in 0..w_out {
-                            let iw = (ow * geom.stride + kw) as isize - geom.padding as isize;
-                            let col = ni * h_out * w_out + oh * w_out + ow;
-                            let v = if ih >= 0 && iw >= 0 && (ih as usize) < h && (iw as usize) < w
-                            {
-                                data[((ni * c + ci) * h + ih as usize) * w + iw as usize]
-                            } else {
-                                0
-                            };
-                            out[row * cols + col] = v;
+            let plane = &data[(ni * c + ci) * h * w..(ni * c + ci + 1) * h * w];
+            for (kh, &(oh_lo, oh_hi)) in row_ranges.iter().enumerate() {
+                if oh_lo >= oh_hi {
+                    continue; // every output row of this tap reads padding
+                }
+                for (kw, &(ow_lo, ow_hi)) in col_ranges.iter().enumerate() {
+                    let row = (ci * kh_n + kh) * kw_n + kw;
+                    let dst = &mut out[row * cols + ni * h_out * w_out..][..h_out * w_out];
+                    if same {
+                        // out[pos] = plane[pos + shift] for pos in the valid rows,
+                        // clipped to the plane; then the |kw − pad| columns that
+                        // wrapped into the neighbouring input row go back to zero.
+                        let shift = (kh * w + kw) as isize - (pad * w + pad) as isize;
+                        let lo = (oh_lo * w).max(shift.min(0).unsigned_abs());
+                        let hi = (oh_hi * w).min((h * w).saturating_add_signed(-shift));
+                        if lo < hi {
+                            let src = lo.saturating_add_signed(shift);
+                            dst[lo..hi].copy_from_slice(&plane[src..src + hi - lo]);
+                        }
+                        let edge = kw.abs_diff(pad).min(w);
+                        let cut = if kw > pad { w - edge } else { 0 };
+                        for col in cut..cut + edge {
+                            for d in dst[oh_lo * w + col..oh_hi * w].iter_mut().step_by(w) {
+                                *d = 0;
+                            }
+                        }
+                    } else if ow_lo < ow_hi {
+                        let iw_lo = ow_lo * stride + kw - pad;
+                        for oh in oh_lo..oh_hi {
+                            let ih = oh * stride + kh - pad;
+                            let src = plane[ih * w + iw_lo..].iter().step_by(stride);
+                            let seg = &mut dst[oh * w_out + ow_lo..oh * w_out + ow_hi];
+                            for (d, &v) in seg.iter_mut().zip(src) {
+                                *d = v;
+                            }
                         }
                     }
                 }

@@ -8,10 +8,12 @@
 //!   panel of `B` stays cache-resident while every row of `A` sweeps it. This is the
 //!   *oracle* kernel — single-threaded, bit-identical to the textbook triple loop.
 //! * [`gemm_i8_requant`] — the quantized-native convolution kernel: an `i8` weight
-//!   panel times an `i8` quantized-activation panel, every product accumulated in
+//!   matrix times an `i8` quantized-activation matrix, every product accumulated in
 //!   `i32` ([`gemm_i8`] is the accumulate-only version), with per-row requantization
-//!   (scale multiply + bias add) in the epilogue. **No `f32` multiply exists in the
-//!   inner loop** — the paper's integer-accumulator datapath.
+//!   (scale multiply + bias add) in the epilogue. Both run one register-tiled kernel:
+//!   a 4-row × 16-column block of `i32` accumulators held in registers across the
+//!   whole reduction. **No `f32` multiply exists in the inner loop** — the paper's
+//!   integer-accumulator datapath.
 //! * [`linear_i8_requant`] — the fully-connected layout (`x(rows×k) × W(m×k)ᵀ`):
 //!   both operands walked along contiguous rows as an `i8×i8 → i32` dot product, with
 //!   the same per-output-feature requantization epilogue.
@@ -23,14 +25,14 @@
 //!
 //! # Threading
 //!
-//! The two integer kernels split their M panels (or, when there are fewer rows than
-//! workers, their N panels) across `std::thread::scope` workers. The count comes
-//! from the caller; [`gemm_threads`] resolves the `RADAR_GEMM_THREADS` environment
-//! knob (and an in-process override, [`set_gemm_threads`], used by the benchmarks).
-//! Every output element is computed by exactly one worker with the same accumulation
-//! order as the single-threaded kernel, and integer arithmetic is exact, so
-//! **threaded and single-threaded runs are bit-identical** — pinned by the property
-//! tests in `tests/gemm_equivalence.rs`.
+//! The two integer kernels split their output rows (or, for a convolution with fewer
+//! rows than workers, its output columns) across `std::thread::scope` workers. The
+//! count comes from the caller; [`gemm_threads`] resolves the `RADAR_GEMM_THREADS`
+//! environment knob (and an in-process override, [`set_gemm_threads`], used by the
+//! benchmarks). Every output element is computed by exactly one worker with the same
+//! accumulation order as the single-threaded kernel, and integer arithmetic is exact,
+//! so **threaded and single-threaded runs are bit-identical** — pinned by the
+//! property tests in `tests/gemm_equivalence.rs`.
 //!
 //! # Summation order and equivalence guarantees
 //!
@@ -51,21 +53,22 @@
 use std::env::VarError;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Rows of the right-hand operand per cache panel (the `k` blocking factor).
+/// Rows of the right-hand operand per cache panel of [`gemm_f32`] (the `k` blocking
+/// factor).
 const BLOCK_K: usize = 256;
 
-/// Columns of the right-hand operand per cache panel (the `n` blocking factor).
+/// Columns of the right-hand operand per cache panel of [`gemm_f32`] (the `n`
+/// blocking factor).
 ///
 /// One float panel is at most `BLOCK_K * BLOCK_N` floats (256 KiB) — sized to sit in
-/// a typical L2 while every row of the left operand streams over it. The `i8` panels
-/// of the integer kernels are 4× smaller still.
+/// a typical L2 while every row of the left operand streams over it.
 const BLOCK_N: usize = 256;
 
-/// Fixed width of the vectorizable inner tile of the integer kernels.
+/// Fixed width of the vectorizable inner loops of the integer kernels.
 ///
-/// The hot loops process output columns (or dot-product lanes) in `chunks_exact`
-/// tiles of this many elements, so the compiler sees a constant trip count with no
-/// bounds checks and autovectorizes the widening `i8×i8 → i32` multiply-accumulate.
+/// The GEMM's register tile is this many output columns wide, and [`dot_i8`] keeps
+/// this many lane accumulators, so the compiler sees a constant trip count with no
+/// bounds checks and vectorizes the widening `i8×i8 → i32` multiply-accumulate.
 const LANES: usize = 16;
 
 /// Maximum reduction depth `k` the integer kernels accept.
@@ -251,46 +254,69 @@ pub fn gemm_f32(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> 
     out
 }
 
-/// `acc[j] += w * x[j]` over an `i8` row with a broadcast weight — the
-/// vectorizable micro-kernel of [`gemm_i8`].
-///
-/// Deliberately the *plain* unit-stride zip loop: given contiguous slices and a
-/// loop-invariant scalar, the loop vectorizer emits the widening integer SIMD we
-/// want (sign-extend → 16-bit multiply → widen → 32-bit add) on its own. Hand
-/// tiling this loop into fixed-width chunks made codegen strictly worse — see
-/// `docs/KERNELS.md` for the asm-level story.
-///
-/// `inline(never)`: inlining lets the loop vectorizer fuse this with the caller's
-/// loop over `k` and rebuild it around strided gathers/scatters across rows of `x`
-/// — measured ~2.7× slower than the clean per-row form this boundary preserves.
-#[inline(never)]
-fn saxpy_i8(acc: &mut [i32], x: &[i8], w: i16) {
-    debug_assert_eq!(acc.len(), x.len());
-    // The product is formed in i16 — any i8×i8 product fits (|−128×−128| = 16384 <
-    // 32767) — then widened to the i32 accumulator. The 16-bit multiply is what the
-    // baseline x86-64 (SSE2) and aarch64 vector ISAs can express directly, so the
-    // fixed-width tiles below compile to widening integer SIMD instead of scalar
-    // 32-bit multiplies.
-    for (a, &b) in acc.iter_mut().zip(x.iter()) {
-        *a += (w * b as i16) as i32;
-    }
-}
-
-/// Number of `k × n` panel blocks the `i8` GEMM core has executed — one increment
-/// per `(BLOCK_K, BLOCK_N)` tile per `gemm_i8_panel` invocation. Gated by the
-/// process-global observability level ([`radar_obs::set_global_level`]); at `Off`
-/// each micro-kernel call pays one relaxed load and a branch.
+/// Number of column tiles the `i8` GEMM core has executed — one increment per
+/// 16-column tile of the right-hand operand per `gemm_i8_panel` invocation (a ragged
+/// last tile included); every weight row of the call runs over each tile. Gated by
+/// the process-global observability level ([`radar_obs::set_global_level`]); at
+/// `Off` each kernel call pays one relaxed load and a branch.
 pub static GEMM_PANELS: radar_obs::GlobalCounter = radar_obs::GlobalCounter::new();
 
 /// Number of `i8` GEMM entry-point calls ([`gemm_i8`] / [`gemm_i8_requant`] /
 /// [`linear_i8_requant`]), gated like [`GEMM_PANELS`].
 pub static GEMM_CALLS: radar_obs::GlobalCounter = radar_obs::GlobalCounter::new();
 
+/// Output columns per register tile of the integer GEMM: one row of a tile is
+/// [`LANES`] `i32` accumulators.
+const TILE_N: usize = LANES;
+
+/// Weight rows per register tile: a `TILE_M × TILE_N` `i32` accumulator block
+/// (8 AVX2 registers) stays in registers across the whole reduction.
+const TILE_M: usize = 4;
+
+/// Accumulates the `R × TILE_N` register tile `W[rows] × X[:, c..c + TILE_N]` over
+/// the whole reduction and returns it. `w_rows` holds `R` weight rows of `k`
+/// elements; `x` is the full `k × n` right-hand operand.
+///
+/// Each `k` step loads one 16-byte row segment of `X`, sign-extends it once, and
+/// multiplies it by each of the `R` broadcast weights. The product is formed in
+/// `i16` — any `i8×i8` product fits (`|−128 × −128| = 16384 < 32767`) — then widened
+/// into the `i32` lane. The tile is written back by the caller once, after the last
+/// `k`: no accumulator traffic inside the loop.
+#[inline(always)]
+fn gemm_i8_tile<const R: usize>(
+    w_rows: &[i8],
+    x: &[i8],
+    k: usize,
+    n: usize,
+    c: usize,
+) -> [[i32; TILE_N]; R] {
+    let w_rows: [&[i8]; R] = std::array::from_fn(|r| &w_rows[r * k..(r + 1) * k]);
+    let mut tile = [[0i32; TILE_N]; R];
+    for p in 0..k {
+        let xs: &[i8; TILE_N] = x[p * n + c..p * n + c + TILE_N]
+            .try_into()
+            .expect("tile segment is TILE_N wide");
+        for (acc, w_row) in tile.iter_mut().zip(&w_rows) {
+            let wv = w_row[p] as i16;
+            for (a, &b) in acc.iter_mut().zip(xs) {
+                *a += (wv * b as i16) as i32;
+            }
+        }
+    }
+    tile
+}
+
 /// Accumulates `W(rows×k) × X(k×n)` restricted to output columns
-/// `[col0, col0 + ncols)` into `acc` (`rows × ncols`, row-major), blocked over `k`
-/// and `n` panels. The shared core of the single-threaded, row-split and
-/// column-split integer paths.
-#[allow(clippy::too_many_arguments)] // a GEMM signature: operands, dims, panel window
+/// `[col0, col0 + ncols)` into `acc` (`rows × ncols`, row-major) — the one integer
+/// GEMM kernel behind [`gemm_i8`], [`gemm_i8_requant`] and both thread splits.
+///
+/// For each [`TILE_N`]-column tile of the window and each block of [`TILE_M`] weight
+/// rows it runs [`gemm_i8_tile`], holding the accumulator block in registers across
+/// the whole `k`, and stores it once. Leftover rows run as one-row tiles. A ragged
+/// last column tile (window width not a multiple of [`TILE_N`]) is first copied into
+/// a zero-padded `k × TILE_N` strip, so the same tile code runs on it and only its
+/// real columns are stored.
+#[allow(clippy::too_many_arguments)] // a GEMM signature: operands, dims, column window
 fn gemm_i8_panel(
     w: &[i8],
     x: &[i8],
@@ -303,24 +329,35 @@ fn gemm_i8_panel(
 ) {
     debug_assert_eq!(w.len(), rows * k);
     debug_assert_eq!(acc.len(), rows * ncols);
-    GEMM_PANELS.add((ncols.div_ceil(BLOCK_N) * k.div_ceil(BLOCK_K)) as u64);
-    for jc in (0..ncols).step_by(BLOCK_N) {
-        let nc = BLOCK_N.min(ncols - jc);
-        for pc in (0..k).step_by(BLOCK_K) {
-            let kc = BLOCK_K.min(k - pc);
-            for i in 0..rows {
-                let w_panel = &w[i * k + pc..i * k + pc + kc];
-                let acc_row = &mut acc[i * ncols + jc..i * ncols + jc + nc];
-                for (p, &w_ip) in w_panel.iter().enumerate() {
-                    if w_ip == 0 {
-                        // Zero weights — including groups a RADAR recovery zeroed —
-                        // contribute nothing; integer zero-skip is exact.
-                        continue;
-                    }
-                    let x_row = &x[(pc + p) * n + col0 + jc..(pc + p) * n + col0 + jc + nc];
-                    saxpy_i8(acc_row, x_row, w_ip as i16);
-                }
+    GEMM_PANELS.add(ncols.div_ceil(TILE_N) as u64);
+    let mut padded: Vec<i8>;
+    for j in (0..ncols).step_by(TILE_N) {
+        let width = TILE_N.min(ncols - j);
+        // The tile's operand (`k × nt`, read from column `ct`): `X` itself, or for a
+        // ragged last tile its columns copied into a zero-padded `k × TILE_N` strip.
+        let (xt, nt, ct) = if width == TILE_N {
+            (x, n, col0 + j)
+        } else {
+            padded = vec![0i8; k * TILE_N];
+            for (dst, src) in padded.chunks_exact_mut(TILE_N).zip(x.chunks_exact(n)) {
+                dst[..width].copy_from_slice(&src[col0 + j..col0 + j + width]);
             }
+            (padded.as_slice(), TILE_N, 0)
+        };
+        let mut store = |i: usize, row: &[i32; TILE_N]| {
+            acc[i * ncols + j..i * ncols + j + width].copy_from_slice(&row[..width]);
+        };
+        let mut i = 0;
+        while i + TILE_M <= rows {
+            let tile = gemm_i8_tile::<TILE_M>(&w[i * k..(i + TILE_M) * k], xt, k, nt, ct);
+            for (r, row) in tile.iter().enumerate() {
+                store(i + r, row);
+            }
+            i += TILE_M;
+        }
+        for i in i..rows {
+            let [row] = gemm_i8_tile::<1>(&w[i * k..(i + 1) * k], xt, k, nt, ct);
+            store(i, &row);
         }
     }
 }
@@ -397,8 +434,8 @@ fn chunk_lengths(total: usize, parts: usize) -> Vec<usize> {
 }
 
 /// `C(m×n) = requantize(W(m×k) × X(k×n))` — the quantized-native convolution
-/// kernel: `i8` weight panel × `i8` activation panel, `i32` accumulation
-/// ([`gemm_i8`]), then a per-row epilogue `C[i][j] = acc * scales[i] + bias[i]`.
+/// kernel: `i8` weight matrix × `i8` activation matrix, `i32` accumulation (the
+/// [`gemm_i8`] kernel), then a per-row epilogue `C[i][j] = acc * scales[i] + bias[i]`.
 ///
 /// `scales` holds either one uniform scale or one per output row (per output
 /// channel — the layout per-channel quantization will use); for the current
@@ -406,10 +443,10 @@ fn chunk_lengths(total: usize, parts: usize) -> Vec<usize> {
 /// `bias` is an optional per-row addend, fused so no separate bias pass touches the
 /// output again.
 ///
-/// Work is split across `threads` scoped workers: over row panels when `m` is large
-/// enough, otherwise over column panels. Every output element is produced by exactly
-/// one worker with the same exact integer accumulation, so the result is
-/// **bit-identical for every thread count** — see the module docs.
+/// Work is split across `threads` scoped workers: over blocks of output rows when `m`
+/// is large enough, otherwise over blocks of output columns. Every output element is
+/// produced by exactly one worker with the same exact integer accumulation, so the
+/// result is **bit-identical for every thread count** — see the module docs.
 ///
 /// # Example
 ///
@@ -556,7 +593,7 @@ fn dot_i8(x: &[i8], w: &[i8]) -> i32 {
     for (a, b) in (&mut x_tiles).zip(&mut w_tiles) {
         for l in 0..LANES {
             // i16 product (always fits), widened into the i32 lane accumulator —
-            // the same SSE2/NEON-expressible shape as `saxpy_i8`.
+            // the same shape as the GEMM's register tile.
             lanes[l] += (a[l] as i16 * b[l] as i16) as i32;
         }
     }

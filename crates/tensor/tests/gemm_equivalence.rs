@@ -1,16 +1,19 @@
 //! Property tests pinning the GEMM kernels to their naive references, over ragged
-//! shapes that straddle the blocking factors (non-multiples of the `k`/`n` panel
-//! sizes included).
+//! shapes that straddle the blocking factors: the integer kernel's 16-column
+//! register tiles and 4-row blocks (widths below, around one and around two tiles;
+//! up to 9 rows, so two full row blocks plus a leftover row) and the float kernel's
+//! 256-wide `k`/`n` panels.
 //!
 //! Contracts proved here:
 //! - `gemm_f32` is *bit-identical* to the textbook triple loop — the kernel only
 //!   reorders which elements are worked on, never the additions into one element.
 //! - `gemm_i8` is *integer-exact*: equal to widening every operand to `i32` and
-//!   running the textbook loop. Integer addition is associative, so blocking and
-//!   zero-skipping cannot change a single bit.
+//!   running the textbook loop. Integer addition is associative, so register tiling
+//!   and zero-padded ragged tiles cannot change a single bit.
 //! - `gemm_i8_requant` / `linear_i8_requant` threaded output is *bit-identical* to
 //!   single-threaded for any thread count (each output element is computed by exactly
-//!   one worker, from the same exact integer accumulator).
+//!   one worker, from the same exact integer accumulator), including column splits
+//!   whose windows start off a tile boundary.
 //! - The requantization epilogue tracks the infinitely-precise `acc·scale + bias` to
 //!   within its three `f32` roundings (widen, multiply, add).
 //! - End to end: integer weights at unit scale × integer-valued activations (which
@@ -50,19 +53,22 @@ fn naive_i32(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<i32> {
     out
 }
 
-/// A `k`/`n` extent deliberately straddling the 256-wide panels: each draw lands
-/// below one block, around exactly one block, or around two blocks.
+/// A `k`/`n` extent deliberately straddling the blocking factors: each draw lands
+/// below one 16-wide register tile, around exactly one or two tiles (15–18, 31–34),
+/// or around one or two 256-wide float panels.
 fn edge_extent() -> impl Strategy<Value = usize> {
-    (0usize..3, 0usize..14).prop_map(|(band, off)| match band {
+    (0usize..5, 0usize..14).prop_map(|(band, off)| match band {
         0 => 1 + off,
-        1 => 250 + off,
+        1 => 15 + off % 4,
+        2 => 31 + off % 4,
+        3 => 250 + off,
         _ => 505 + off,
     })
 }
 
-/// Small `m`, ragged `k`/`n`.
+/// Small `m` (up to two 4-row blocks plus a leftover row), ragged `k`/`n`.
 fn ragged_dims() -> impl Strategy<Value = (usize, usize, usize)> {
-    (1usize..8, edge_extent(), edge_extent())
+    (1usize..10, edge_extent(), edge_extent())
 }
 
 /// An `i8` weight drawn over the full quantized range (including 0, the value a RADAR
@@ -114,6 +120,27 @@ proptest! {
         let single = gemm_i8_requant(&w, &x, m, k, n, &scales, Some(&bias), 1);
         let multi = gemm_i8_requant(&w, &x, m, k, n, &scales, Some(&bias), threads);
         prop_assert_eq!(single, multi);
+    }
+
+    /// A column split whose windows start off a 16-column tile boundary: `m` is below
+    /// the thread count, so the columns are split, and every worker's share is
+    /// `16q + r` columns with `0 < r < 16`. The threaded output equals the exact
+    /// integer reference (unit scale, no bias: every sum is exact in `f32`).
+    #[test]
+    fn unaligned_column_split_equals_integer_reference(
+        threads in 2usize..6,
+        (q, r) in (1usize..3, 1usize..16),
+        m_pick in 0usize..8,
+        k in edge_extent(),
+        wseed in prop::collection::vec(weight(), 64..65),
+        xseed in prop::collection::vec(weight(), 64..65),
+    ) {
+        let m = 1 + m_pick % (threads - 1);
+        let n = threads * (16 * q + r);
+        let w: Vec<i8> = (0..m * k).map(|i| wseed[i % wseed.len()]).collect();
+        let x: Vec<i8> = (0..k * n).map(|i| xseed[(i * 13 + 5) % xseed.len()]).collect();
+        let want: Vec<f32> = naive_i32(&w, &x, m, k, n).iter().map(|&v| v as f32).collect();
+        prop_assert_eq!(gemm_i8_requant(&w, &x, m, k, n, &[1.0], None, threads), want);
     }
 
     /// Threaded fully-connected kernel is bit-identical to single-threaded over

@@ -1,3 +1,5 @@
+use std::ops::Range;
+
 use crate::key::{SecretKey, KEY_BITS};
 
 /// Number of masked-accumulation sweeps ([`GroupLayout::masked_sums`]) executed — one
@@ -202,14 +204,19 @@ impl GroupLayout {
     ///   `k mod 16`, so each group is a dot product with the key's 16-entry ±1 pattern;
     /// * interleaved — row `r` (weights `r·ng .. (r+1)·ng`) holds slot `r` of every
     ///   group under one key bit, and its column `c` belongs to group
-    ///   `(c + r·t) mod ng`. The row is added to (or, for a 0 key bit, subtracted
-    ///   from) the accumulators as two contiguous runs, split at `ng − (r·t mod ng)`;
-    ///   the last row may be short.
+    ///   `(c + r·t) mod ng`; the last row may be short. Rows are added (or, for a 0
+    ///   key bit, subtracted) into an `i16` tile on the stack in blocks of up to 255:
+    ///   row `j` of a block starting at row `b` lands as one contiguous run at tile
+    ///   positions `j·(t mod ng) ..`, and position `q` belongs to group
+    ///   `(b·t + q) mod ng`. After each block the tile is folded into `acc` and
+    ///   cleared. A row moves a position by at most 128 and 255 · 128 < 2¹⁵, so the
+    ///   tile never overflows. The tile holds 8,192 positions; a block that spans
+    ///   more takes one pass over its rows per window of the tile.
     ///
-    /// `i32` addition is exact, so every sum equals [`masked_sum`](crate::masked_sum)
-    /// over the group's [`members`](Self::members) (pinned against
+    /// Both are exact, so every sum equals [`masked_sum`](crate::masked_sum) over the
+    /// group's [`members`](Self::members) (pinned against
     /// [`gather_signatures`](crate::gather_signatures) by the `plan_equivalence`
-    /// proptests).
+    /// proptests, and at the flush and tile edges by this module's tests).
     ///
     /// # Panics
     ///
@@ -221,6 +228,39 @@ impl GroupLayout {
             self.len,
             "weight count does not match the layout"
         );
+        self.sweep_rows(key, &mut { weights }, acc);
+    }
+
+    /// The fetch kernel's sweep: copies the layer's raw bytes `src` into `dst`
+    /// (cleared first; `u8 → i8` is a bit cast) and computes the same sums as
+    /// [`masked_sums`](Self::masked_sums) over the copy. Each row is appended to `dst`
+    /// just before the sweep adds it, while it is still in L1, so the layer is read
+    /// once; tile passes after the first read the copy. Ticks [`VERIFY_SWEEPS`] once.
+    ///
+    /// # Panics
+    ///
+    /// As [`masked_sums`](Self::masked_sums), with `src` in place of `weights`.
+    pub(crate) fn fetch_masked_sums(
+        &self,
+        key: &SecretKey,
+        src: &[u8],
+        dst: &mut Vec<i8>,
+        acc: &mut [i32],
+    ) {
+        assert_eq!(
+            src.len(),
+            self.len,
+            "weight count does not match the layout"
+        );
+        dst.clear();
+        dst.reserve(src.len());
+        self.sweep_rows(key, &mut Fetch { src, dst }, acc);
+    }
+
+    /// The one sweep body behind [`masked_sums`](Self::masked_sums) and
+    /// [`fetch_masked_sums`](Self::fetch_masked_sums), reading the layer's weights
+    /// through `rows`.
+    fn sweep_rows(&self, key: &SecretKey, rows: &mut impl Rows, acc: &mut [i32]) {
         let ng = self.num_groups;
         assert!(
             acc.len() >= ng,
@@ -232,21 +272,76 @@ impl GroupLayout {
         match self.grouping {
             Grouping::Contiguous => {
                 let pattern: [i32; KEY_LEN] = std::array::from_fn(|k| key.mask(k));
-                for (sum, group) in acc.iter_mut().zip(weights.chunks(self.group_size)) {
-                    *sum = pattern_dot(group, &pattern);
+                for (group, sum) in acc.iter_mut().enumerate() {
+                    let start = group * self.group_size;
+                    let end = (start + self.group_size).min(self.len);
+                    *sum = pattern_dot(rows.read_rows(start..end), &pattern);
                 }
             }
             Grouping::Interleaved { offset } => {
+                let step = offset % ng;
+                let num_rows = self.len.div_ceil(ng);
+                let mut tile = [0i16; TILE_LEN];
                 acc.fill(0);
-                for (row, run) in weights.chunks(ng).enumerate() {
-                    let shift = (row * offset) % ng;
-                    let (head, tail) = run.split_at(run.len().min(ng - shift));
-                    let keep = key.keeps_sign(row);
-                    add_run(&mut acc[shift..], head, keep);
-                    add_run(acc, tail, keep);
+                for block in (0..num_rows).step_by(FLUSH_ROWS) {
+                    // Row `block + j` covers positions `j·step ..`, one run, and
+                    // position `q` belongs to group `(block·step + q) mod ng`.
+                    let block_rows = FLUSH_ROWS.min(num_rows - block);
+                    let span = (block_rows - 1) * step + ng;
+                    for window in (0..span).step_by(TILE_LEN) {
+                        let tile = &mut tile[..TILE_LEN.min(span - window)];
+                        for j in 0..block_rows {
+                            let start = (block + j) * ng;
+                            let run = rows.read_rows(start..self.len.min(start + ng));
+                            tile_add(tile, window, j * step, run, key.keeps_sign(block + j));
+                        }
+                        fold_tile(tile, acc, (block * step + window) % ng);
+                    }
                 }
             }
         }
+    }
+}
+
+/// Positions one `i16` tile holds (16 KB on the stack), chosen by measurement
+/// (`docs/KERNELS.md` §7). A flush block under the paper's offset of 3 spans its
+/// layer's group count plus at most 762 positions, so every layer of ResNet-20 at
+/// G=16 and of paper-width ResNet-18 at G=512 takes one window.
+const TILE_LEN: usize = 8192;
+
+/// Rows added into the `i16` tile between flushes into the `i32` sums: each row moves
+/// a position by at most 128 (`−i8::MIN`), and 255 · 128 = 32,640 ≤ `i16::MAX`.
+const FLUSH_ROWS: usize = 255;
+
+/// Where a sweep reads a layer's weights from: one interleaved row or one contiguous
+/// group at a time. The first pass asks for them in storage order.
+trait Rows {
+    /// The weights at `range` of the layer.
+    fn read_rows(&mut self, range: Range<usize>) -> &[i8];
+}
+
+impl Rows for &[i8] {
+    fn read_rows(&mut self, range: Range<usize>) -> &[i8] {
+        &self[range]
+    }
+}
+
+/// The fetch kernel's rows: a range the sweep has not read yet is copied from `src`
+/// onto the end of `dst` first, and every range is read from the copy.
+struct Fetch<'a> {
+    src: &'a [u8],
+    dst: &'a mut Vec<i8>,
+}
+
+impl Rows for Fetch<'_> {
+    fn read_rows(&mut self, range: Range<usize>) -> &[i8] {
+        if self.dst.len() < range.end {
+            assert_eq!(self.dst.len(), range.start, "rows copied out of order");
+            let bytes = &self.src[range.clone()];
+            self.dst
+                .extend(bytes.iter().map(|&b| i8::from_ne_bytes([b])));
+        }
+        &self.dst[range]
     }
 }
 
@@ -269,17 +364,42 @@ fn pattern_dot(group: &[i8], pattern: &[i32; KEY_LEN]) -> i32 {
     lanes.iter().sum::<i32>() + tail
 }
 
-/// Adds one run of a row's weights into the accumulators of their groups, or
-/// subtracts it when the row's key bit is 0.
-fn add_run(acc: &mut [i32], run: &[i8], keep: bool) {
+/// Adds one row's `run`, which covers positions `pos..pos + run.len()`, into the part
+/// of `tile` (positions `window..window + tile.len()`) that it overlaps, or subtracts
+/// it when the row's key bit is 0.
+fn tile_add(tile: &mut [i16], window: usize, pos: usize, run: &[i8], keep: bool) {
+    let lo = pos.max(window);
+    let hi = (pos + run.len()).min(window + tile.len());
+    if lo >= hi {
+        return;
+    }
+    let (tile, run) = (
+        &mut tile[lo - window..hi - window],
+        &run[lo - pos..hi - pos],
+    );
     if keep {
-        for (sum, &w) in acc.iter_mut().zip(run) {
-            *sum += i32::from(w);
+        for (sum, &w) in tile.iter_mut().zip(run) {
+            *sum += i16::from(w);
         }
     } else {
-        for (sum, &w) in acc.iter_mut().zip(run) {
-            *sum -= i32::from(w);
+        for (sum, &w) in tile.iter_mut().zip(run) {
+            *sum -= i16::from(w);
         }
+    }
+}
+
+/// Flushes `tile`, whose entry `k` belongs to group `(group + k) mod acc.len()`, into
+/// the `i32` sums `acc` and zeroes it for the next block.
+fn fold_tile(tile: &mut [i16], acc: &mut [i32], group: usize) {
+    let flush = |sums: &mut [i32], part: &mut [i16]| {
+        for (sum, entry) in sums.iter_mut().zip(part) {
+            *sum += i32::from(std::mem::take(entry));
+        }
+    };
+    let (head, tail) = tile.split_at_mut(tile.len().min(acc.len() - group));
+    flush(&mut acc[group..], head);
+    for part in tail.chunks_mut(acc.len()) {
+        flush(acc, part);
     }
 }
 
@@ -407,6 +527,42 @@ mod tests {
         GroupLayout::new(10, 4, Grouping::Contiguous).group_of(10);
     }
 
+    /// Checks both sweeps of `layout` over `weights` against the gathered members:
+    /// every sum, the entry past `num_groups` left untouched, and the fetch kernel's
+    /// sums and copy.
+    fn assert_sweeps_match_the_gathered_members(
+        layout: GroupLayout,
+        key: SecretKey,
+        weights: &[i8],
+    ) {
+        let ng = layout.num_groups();
+        let mut acc = vec![i32::MIN; ng + 1];
+        layout.masked_sums(&key, weights, &mut acc);
+        for (group, &sum) in acc[..ng].iter().enumerate() {
+            let vals: Vec<i8> = layout.members(group).iter().map(|&i| weights[i]).collect();
+            assert_eq!(
+                sum,
+                crate::masked_sum(&vals, &key),
+                "{layout:?} {key:?} group {group}"
+            );
+        }
+        assert_eq!(acc[ng], i32::MIN, "entries past num_groups stay untouched");
+        let bytes: Vec<u8> = weights.iter().map(|&w| w as u8).collect();
+        let (mut dst, mut fetched) = (vec![7; 3], vec![i32::MIN; ng + 1]);
+        layout.fetch_masked_sums(&key, &bytes, &mut dst, &mut fetched);
+        assert_eq!(fetched, acc, "{layout:?} {key:?}: the fetch kernel's sums");
+        assert_eq!(
+            dst, weights,
+            "{layout:?}: the fetch kernel copies every byte"
+        );
+    }
+
+    fn mixed_weights(len: usize) -> Vec<i8> {
+        (0..len)
+            .map(|i| (i as i32 * 37 % 251 - 125) as i8)
+            .collect()
+    }
+
     #[test]
     fn masked_sums_match_the_gathered_members() {
         let key = SecretKey::new(0xBEEF);
@@ -419,22 +575,33 @@ mod tests {
             // (5, 4) has two groups, so every offset above wraps past `num_groups`.
             for (len, g) in [(128, 16), (130, 16), (37, 5), (513, 64), (5, 4)] {
                 let layout = GroupLayout::new(len, g, grouping);
-                let weights: Vec<i8> = (0..len)
-                    .map(|i| (i as i32 * 37 % 251 - 125) as i8)
-                    .collect();
-                let ng = layout.num_groups();
-                let mut acc = vec![i32::MIN; ng + 1];
-                layout.masked_sums(&key, &weights, &mut acc);
-                for (group, &sum) in acc[..ng].iter().enumerate() {
-                    let vals: Vec<i8> = layout.members(group).iter().map(|&i| weights[i]).collect();
-                    assert_eq!(
-                        sum,
-                        crate::masked_sum(&vals, &key),
-                        "{grouping:?} len={len} G={g} group {group}"
-                    );
-                }
-                assert_eq!(acc[ng], i32::MIN, "entries past num_groups stay untouched");
+                assert_sweeps_match_the_gathered_members(layout, key, &mixed_weights(len));
             }
+        }
+        // Saturated layers at the flush edge. Each row moves a tile entry by up to
+        // 128, so 255 rows reach ±32,640; a 256th row of `i8::MIN` under a 0 key bit
+        // makes +32,768, one past `i16::MAX`, unless the tile is flushed first.
+        for fill in [i8::MIN, i8::MAX] {
+            for key in [SecretKey::new(0x0000), SecretKey::new(0xFFFF)] {
+                for rows in [255, 256, 511] {
+                    for grouping in [Grouping::Contiguous, Grouping::interleaved()] {
+                        let layout = GroupLayout::new(3 * rows, rows, grouping);
+                        assert_sweeps_match_the_gathered_members(
+                            layout,
+                            key,
+                            &vec![fill; 3 * rows],
+                        );
+                    }
+                }
+            }
+        }
+        // Wider than one tile, each with a ragged last row: 8,194 groups under the
+        // paper's offset; 8,998 groups whose row shifts wrap past `num_groups`; and
+        // 100 groups whose two flush blocks each span four tile windows.
+        for (len, g, offset) in [(16_387, 2, 3), (26_993, 3, 5_000), (29_950, 300, 99)] {
+            let layout = GroupLayout::new(len, g, Grouping::Interleaved { offset });
+            assert_ne!(len % layout.num_groups(), 0, "the last row is ragged");
+            assert_sweeps_match_the_gathered_members(layout, key, &mixed_weights(len));
         }
     }
 

@@ -21,16 +21,19 @@
 //!
 //! Every signature is computed by one storage-order sweep over the layer,
 //! [`GroupLayout::masked_sums`], which is arithmetic on the layout and the key alone:
-//! an interleaved row holds one slot of every group under one key bit, so it adds into
-//! the group accumulators as two contiguous runs; a contiguous group is a dot product
-//! with the key's 16-entry ±1 pattern. There is no per-weight table and no gather.
-//! Signing, both per-layer verify kernels and key rotation run that sweep:
-//! [`RadarProtection::verify_layer_values_with_scratch`] verifies in-memory values
-//! (the scrubber, the recovery re-check, the key roll's pre-sign check) and
-//! [`RadarProtection::fetch_verify_layer_at_epoch_with_scratch`] copies a layer's
-//! DRAM bytes out and verifies the copy, at a pinned key epoch (the serving engine's
-//! snapshot build). [`RadarProtection::detect`] loops the same check over a whole
-//! model.
+//! an interleaved row holds one slot of every group under one key bit, so it adds as
+//! one contiguous run into an `i16` tile that is flushed to exact `i32` sums every
+//! 255 rows; a contiguous group is a dot product with the key's 16-entry ±1 pattern.
+//! There is no per-weight table and no gather. A check then compares the sums with
+//! the golden signatures a packed `u64` word at a time
+//! (`SignatureStore::compare_layer`). Signing, both per-layer verify kernels and key
+//! rotation run that sweep: [`RadarProtection::verify_layer_values_with_scratch`]
+//! verifies in-memory values, and
+//! [`RadarProtection::fetch_verify_layer_at_epoch_with_scratch`] copies a layer's DRAM
+//! bytes out a row at a time, adding each row while it is still in L1, at a pinned
+//! key epoch. The fetch kernel is every DRAM-side check: the serving engine's image
+//! build, the scrubber, the recovery re-check and the key roll's pre-sign check.
+//! [`RadarProtection::detect`] loops the value check over a whole model.
 //!
 //! [`ProtectedModel`] embeds the whole flow into the inference path.
 //!

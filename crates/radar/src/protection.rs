@@ -101,24 +101,28 @@ struct EpochState {
 }
 
 impl EpochState {
-    /// Verifies one layer's raw weight values against this epoch's keys and golden
-    /// store, appending mismatches to `report` — the verify core behind both
-    /// per-layer kernels. `acc` is grown to the layer's group count, never shrunk.
+    /// Verifies one layer of `len` weights against this epoch's keys and golden store,
+    /// appending mismatches to `report` — the verify core behind both per-layer
+    /// kernels. `sweep` computes the layer's masked sums into the scratch it is given
+    /// (one [`GroupLayout`] sweep); the golden store then compares them word by word
+    /// ([`SignatureStore::compare_layer`]). `acc` is grown to the layer's group count,
+    /// never shrunk.
     fn check_layer(
         &self,
         layer: usize,
-        values: &[i8],
+        len: usize,
         acc: &mut Vec<i32>,
         report: &mut DetectionReport,
+        sweep: impl FnOnce(&GroupLayout, &SecretKey, &mut [i32]),
     ) {
         assert!(
             layer < self.layers.len(),
             "layer {layer} out of bounds for {} layers",
             self.layers.len()
         );
-        let LayerProtection { key, layout } = self.layers[layer];
+        let LayerProtection { key, layout } = &self.layers[layer];
         assert_eq!(
-            values.len(),
+            len,
             layout.len(),
             "layer {layer} size changed since signing"
         );
@@ -126,13 +130,10 @@ impl EpochState {
         if acc.len() < groups {
             acc.resize(groups, 0);
         }
-        layout.masked_sums(&key, values, acc);
-        let bits = self.golden.signature_bits();
-        for (group, &m) in acc[..groups].iter().enumerate() {
-            if binarize(m, bits) != self.golden.signature(layer, group) {
-                report.flagged.push(FlaggedGroup { layer, group });
-            }
-        }
+        sweep(layout, key, acc);
+        self.golden.compare_layer(layer, &acc[..groups], |group| {
+            report.flagged.push(FlaggedGroup { layer, group })
+        });
     }
 }
 
@@ -156,9 +157,11 @@ struct PendingEpoch {
 /// verifies in-memory `i8` values at the current epoch, and
 /// [`fetch_verify_layer_at_epoch_with_scratch`](Self::fetch_verify_layer_at_epoch_with_scratch)
 /// copies DRAM bytes out and verifies the copy at a pinned epoch. Both run one
-/// [`GroupLayout::masked_sums`] sweep per layer, and [`detect`](Self::detect) loops
-/// the same per-layer check over a whole model. Per layer, the protection holds only
-/// the [`GroupLayout`], the [`SecretKey`] and the packed golden signatures.
+/// [`GroupLayout`] sweep per layer (the fetch kernel's copies each row just before
+/// adding it) and one packed compare (`SignatureStore::compare_layer`), and
+/// [`detect`](Self::detect) loops the value check over a whole model. Per layer, the
+/// protection holds only the [`GroupLayout`], the [`SecretKey`] and the packed golden
+/// signatures.
 ///
 /// # Key epochs
 ///
@@ -445,16 +448,22 @@ impl RadarProtection {
         );
         let (mut acc, mut report) = (Vec::new(), DetectionReport::default());
         for layer in 0..model.num_layers() {
-            self.current
-                .check_layer(layer, model.layer_values(layer), &mut acc, &mut report);
+            let values = model.layer_values(layer);
+            self.current.check_layer(
+                layer,
+                values.len(),
+                &mut acc,
+                &mut report,
+                |layout, key, acc| layout.masked_sums(key, values, acc),
+            );
         }
         report
     }
 
-    /// Verifies one layer's raw weight values against the current epoch — bytes that
-    /// are still in a DRAM image (or any other store) rather than fetched into a
-    /// [`QuantizedModel`]. The background scrubber, the recovery re-check and the key
-    /// roll's pre-sign check all verify this way: no model instance is needed at all.
+    /// Verifies one layer's weight values against the current epoch — values held in
+    /// memory (a model's layer, a copy) rather than read out of a DRAM image, which
+    /// [`fetch_verify_layer_at_epoch_with_scratch`](Self::fetch_verify_layer_at_epoch_with_scratch)
+    /// copies and verifies in one pass. No model instance is needed at all.
     ///
     /// `acc` is a caller-owned accumulator scratch, grown to the layer's group count
     /// and never shrunk, so a caller sweeping many layers reuses one buffer.
@@ -470,18 +479,27 @@ impl RadarProtection {
         acc: &mut Vec<i32>,
     ) -> DetectionReport {
         let mut report = DetectionReport::default();
-        self.current.check_layer(layer, values, acc, &mut report);
+        self.current
+            .check_layer(layer, values.len(), acc, &mut report, |layout, key, acc| {
+                layout.masked_sums(key, values, acc)
+            });
         report
     }
 
     /// Fetch-and-verify of one layer under a *pinned* epoch: copies the layer's raw
     /// DRAM bytes into `dst` (reinterpreted as `i8`, exactly as the weight-fetch path
-    /// does), then checks the group signatures of the copy in one sweep over the
-    /// still-cache-hot `dst`. DRAM is read once, and the bytes verified are the bytes
-    /// the caller executes. This is the snapshot build path's kernel: a builder pins
-    /// the epoch it saw when its fetch ticket came up, and a rotation publish landing
+    /// does) and checks the group signatures of the copy, in one pass. `dst` is
+    /// reserved once and filled a row at a time, and each row is added to the masked
+    /// group sums just after it is copied, while it is still in L1; the golden store
+    /// then compares the sums word by word (`SignatureStore::compare_layer`). DRAM
+    /// is read once, and the bytes verified are the bytes the caller executes.
+    ///
+    /// This is the kernel of every DRAM-side check: the snapshot build, the scrubber,
+    /// the recovery re-check and the key roll's pre-sign check. A builder pins the
+    /// epoch it saw when its fetch ticket came up, and a rotation publish landing
     /// between pin and verify must not strand it (the pinned epoch is then `previous`
-    /// and still accepted).
+    /// and still accepted); the other checks pass
+    /// [`current_epoch`](Self::current_epoch).
     ///
     /// An `epoch` that is no longer retained falls back to the current state (see
     /// [`accepts_epoch`](Self::accepts_epoch)) — fail-closed, never skip. `acc` is
@@ -499,11 +517,14 @@ impl RadarProtection {
         dst: &mut Vec<i8>,
         acc: &mut Vec<i32>,
     ) -> DetectionReport {
-        dst.clear();
-        dst.extend(src.iter().map(|&b| i8::from_ne_bytes([b])));
         let mut report = DetectionReport::default();
-        self.epoch_state(epoch)
-            .check_layer(layer, dst, acc, &mut report);
+        self.epoch_state(epoch).check_layer(
+            layer,
+            src.len(),
+            acc,
+            &mut report,
+            |layout, key, acc| layout.fetch_masked_sums(key, src, dst, acc),
+        );
         report
     }
 

@@ -50,20 +50,18 @@ pub fn masked_sum(weights: &[i8], key: &SecretKey) -> i32 {
 
 /// Derives the signature from the checksum `M` by binarization (bit truncation in
 /// hardware): `S_A = ⌊M/256⌋ % 2`, `S_B = ⌊M/128⌋ % 2`, and for the 3-bit variant
-/// `S_C = ⌊M/64⌋ % 2`. Floor division is used so negative sums are handled exactly as
-/// an arithmetic shift would.
+/// `S_C = ⌊M/64⌋ % 2`. An arithmetic right shift is floor division by a power of two,
+/// so negative sums are handled exactly: the signature is bits 8 and 7 of `M`'s two's
+/// complement (and bit 6 at three bits).
 ///
 /// The signature is packed into the low bits of the returned byte: bit 0 = `S_B`
 /// (parity of MSB flips), bit 1 = `S_A`, bit 2 = `S_C` when present.
 pub fn binarize(m: i32, bits: SignatureBits) -> u8 {
-    let s_a = (m.div_euclid(256).rem_euclid(2)) as u8;
-    let s_b = (m.div_euclid(128).rem_euclid(2)) as u8;
-    let mut sig = (s_a << 1) | s_b;
-    if bits == SignatureBits::Three {
-        let s_c = (m.div_euclid(64).rem_euclid(2)) as u8;
-        sig |= s_c << 2;
+    let sig = ((m >> 7) & 0b11) as u8;
+    match bits {
+        SignatureBits::Two => sig,
+        SignatureBits::Three => sig | (((m >> 6) & 1) as u8) << 2,
     }
-    sig
 }
 
 /// Convenience: the signature of one group of weights under a key.

@@ -1,5 +1,5 @@
 use crate::key::KeyEpoch;
-use crate::signature::SignatureBits;
+use crate::signature::{binarize, SignatureBits};
 
 /// The golden signatures of every group of every protected layer, as they would be held
 /// in secure on-chip memory.
@@ -129,6 +129,34 @@ impl SignatureStore {
         sig
     }
 
+    /// Compares one layer's fresh masked sums `sums` (one per group) with its golden
+    /// signatures, calling `on_mismatch(group)` for every group whose
+    /// [`binarize`]d sum differs, in increasing group order.
+    ///
+    /// The fresh signatures are packed in the store's own LSB-first layout (32
+    /// two-bit signatures `(m >> 7) & 3` per `u64` word; at three bits 64 groups fill
+    /// three words), and each word is compared whole with the golden bytes. Only a
+    /// word that differs is resolved to single groups, so a clean layer costs one
+    /// compare per word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` is out of bounds or `sums` does not hold one sum per group.
+    pub(crate) fn compare_layer(&self, layer: usize, sums: &[i32], on_mismatch: impl FnMut(usize)) {
+        let l = &self.layers[layer];
+        assert_eq!(
+            sums.len(),
+            l.groups,
+            "{} sums for the {} groups of layer {layer}",
+            sums.len(),
+            l.groups
+        );
+        match self.bits {
+            SignatureBits::Two => compare_words::<2>(&l.packed, sums, on_mismatch),
+            SignatureBits::Three => compare_words::<3>(&l.packed, sums, on_mismatch),
+        }
+    }
+
     /// Overwrites the signature of `(layer, group)`; used when recovery re-signs a
     /// zeroed group so later verification passes accept the recovered state.
     ///
@@ -175,6 +203,72 @@ impl SignatureStore {
     }
 }
 
+/// [`SignatureStore::compare_layer`] at a signature width of `W` bits: 64 groups fill
+/// `W` words, which are compared with the matching `8·W` bytes of `packed`. The last
+/// chunk is padded with zero sums, whose signature is 0 like the store's padding.
+fn compare_words<const W: usize>(packed: &[u8], sums: &[i32], mut on_mismatch: impl FnMut(usize)) {
+    let mut last = usize::MAX;
+    for (chunk, golden) in packed.chunks(8 * W).enumerate() {
+        let part = &sums[64 * chunk..sums.len().min(64 * chunk + 64)];
+        let fresh = match <&[i32; 64]>::try_from(part) {
+            Ok(full) => pack_words::<W>(full),
+            Err(_) => {
+                let mut padded = [0; 64];
+                padded[..part.len()].copy_from_slice(part);
+                pack_words::<W>(&padded)
+            }
+        };
+        for (k, (&word, golden)) in fresh.iter().zip(golden.chunks(8)).enumerate() {
+            let mut diff = word ^ le_word(golden);
+            let base = 64 * (chunk * W + k);
+            while diff != 0 {
+                let group = (base + diff.trailing_zeros() as usize) / W;
+                if group != last {
+                    on_mismatch(group);
+                    last = group;
+                }
+                diff &= diff - 1;
+            }
+        }
+    }
+}
+
+/// Packs the fresh `W`-bit signatures of 64 groups into `W` words, LSB first. Word `k`
+/// holds the groups that start in bits `64k .. 64k + 64`; at 3 bits it opens with the
+/// high bits of a group that straddles in from the word before.
+fn pack_words<const W: usize>(sums: &[i32; 64]) -> [u64; W] {
+    let bits = if W == 3 {
+        SignatureBits::Three
+    } else {
+        SignatureBits::Two
+    };
+    let sig = |m: i32| u64::from(binarize(m, bits));
+    let mut words = [0; W];
+    for (k, word) in words.iter_mut().enumerate() {
+        let base = 64 * k;
+        let first = base.div_ceil(W);
+        if W * first > base {
+            *word = sig(sums[first - 1]) >> (base - W * (first - 1));
+        }
+        let end = (base + 64).div_ceil(W).min(64);
+        for (i, &m) in sums[first..end].iter().enumerate() {
+            *word |= sig(m) << (W * (first + i) - base);
+        }
+    }
+    words
+}
+
+/// Reads up to 8 bytes as a little-endian word; missing high bytes read as 0.
+fn le_word(bytes: &[u8]) -> u64 {
+    match <[u8; 8]>::try_from(bytes) {
+        Ok(word) => u64::from_le_bytes(word),
+        Err(_) => bytes
+            .iter()
+            .rev()
+            .fold(0, |word, &b| (word << 8) | u64::from(b)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,6 +290,36 @@ mod tests {
         store.push_layer(sigs.clone());
         for (g, &expected) in sigs.iter().enumerate() {
             assert_eq!(store.signature(0, g), expected);
+        }
+    }
+
+    #[test]
+    fn compare_layer_flags_each_differing_group_once_in_order() {
+        // A sum whose binarized signature is `sig`: bits 8 and 7 carry S_A and S_B,
+        // bit 6 carries S_C.
+        let sum_for = |sig: u8| (i32::from(sig & 0b11) << 7) | (i32::from(sig >> 2) << 6);
+        for bits in [SignatureBits::Two, SignatureBits::Three] {
+            let width = bits.bits() as usize;
+            // Groups 21 and 42 of every 64 straddle two words at 3 bits: 21 differs
+            // only in its high bits, which open the next word, and 42 in all its
+            // bits, so in both words. Every third other group differs in one bit.
+            let flip = |g: usize| match g % 64 {
+                21 => 0b110 & ((1u8 << width) - 1),
+                42 => (1u8 << width) - 1,
+                _ if g % 3 == 0 => 1 << (g % width),
+                _ => 0,
+            };
+            // 130 groups leave a partial last word at both widths.
+            for groups in [1usize, 21, 22, 43, 64, 65, 130] {
+                let golden: Vec<u8> = (0..groups).map(|g| (g * 5 % (1 << width)) as u8).collect();
+                let mut store = SignatureStore::new(bits);
+                store.push_layer(golden.clone());
+                let sums: Vec<i32> = (0..groups).map(|g| sum_for(golden[g] ^ flip(g))).collect();
+                let mut flagged = Vec::new();
+                store.compare_layer(0, &sums, |g| flagged.push(g));
+                let expected: Vec<usize> = (0..groups).filter(|&g| flip(g) != 0).collect();
+                assert_eq!(flagged, expected, "{bits:?}, {groups} groups");
+            }
         }
     }
 

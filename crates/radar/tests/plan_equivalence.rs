@@ -2,15 +2,16 @@
 //! sums of [`GroupLayout::masked_sums`] must equal the per-group gather oracle
 //! ([`gather_signatures`], [`masked_sum`] over [`GroupLayout::members`]) for arbitrary
 //! layer shapes, keys and signature widths; the fetch kernel must report exactly what
-//! the value kernel reports on the same bytes; and the group layout must stay a
-//! bijection even when the layer length is not a multiple of the group size (padding
-//! suffix).
+//! the value kernel reports on the same bytes; both kernels must flag exactly the
+//! groups whose gathered signature differs from the golden one; and the group layout
+//! must stay a bijection even when the layer length is not a multiple of the group
+//! size (padding suffix).
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseResult;
 use radar_core::{
-    binarize, gather_signatures, masked_sum, GroupLayout, Grouping, RadarConfig, RadarProtection,
-    SecretKey, SignatureBits,
+    binarize, gather_signatures, masked_sum, FlaggedGroup, GroupLayout, Grouping, RadarConfig,
+    RadarProtection, SecretKey, SignatureBits,
 };
 use radar_nn::{Linear, Sequential};
 use radar_quant::QuantizedModel;
@@ -146,6 +147,70 @@ proptest! {
             let verified = radar.verify_layer_values_with_scratch(layer, values, &mut value_acc);
             prop_assert_eq!(fetched, verified, "layer {}", layer);
             prop_assert_eq!(dst.as_slice(), values, "layer {} copy", layer);
+        }
+    }
+
+    /// Each kernel flags exactly the groups whose gathered signature
+    /// ([`gather_signatures`]) differs from the golden one: an oracle for the packed
+    /// word compare that shares no code with either kernel. Every layer takes several
+    /// flips on any bit, so several groups of one word can differ at once, and every
+    /// group count leaves a partial last word at both widths (`ng mod 32 ≠ 0`).
+    #[test]
+    fn kernels_flag_exactly_the_groups_the_gather_oracle_flags(
+        layers in prop::collection::vec(
+            (0usize..7, 1usize..32, any::<u16>(), prop::collection::vec((any::<u16>(), 0u32..8), 2..10)),
+            1..4,
+        ),
+        g in 1usize..12,
+        seed in any::<u64>(),
+        interleave in any::<bool>(),
+        masking in any::<bool>(),
+        three_bit in any::<bool>(),
+    ) {
+        // `ng` groups of `g`, the last one short by up to `g − 1` weights.
+        let sizes: Vec<usize> = layers
+            .iter()
+            .map(|&(words, extra, short, _)| (32 * words + extra) * g - usize::from(short) % g)
+            .collect();
+        let mut model = model_with_layer_sizes(&sizes, seed);
+        let mut cfg = if interleave {
+            RadarConfig::paper_default(g)
+        } else {
+            RadarConfig::without_interleave(g)
+        }
+        .with_masking(masking);
+        if three_bit {
+            cfg = cfg.with_three_bit_signature();
+        }
+        let radar = RadarProtection::new(&model, cfg);
+        for (layer, (_, _, _, flips)) in layers.iter().enumerate() {
+            for &(weight, bit) in flips {
+                model.flip_bit(layer, usize::from(weight) % sizes[layer], bit);
+            }
+        }
+        let (mut dst, mut acc) = (Vec::new(), Vec::new());
+        for (layer, protection) in radar.layers().iter().enumerate() {
+            let values = model.layer_values(layer);
+            let layout = protection.layout();
+            prop_assert_ne!(layout.num_groups() % 32, 0);
+            let expected: Vec<FlaggedGroup> =
+                gather_signatures(values, &layout, &protection.key(), cfg.signature_bits)
+                    .into_iter()
+                    .enumerate()
+                    .filter(|&(group, sig)| sig != radar.golden().signature(layer, group))
+                    .map(|(group, _)| FlaggedGroup { layer, group })
+                    .collect();
+            let verified = radar.verify_layer_values_with_scratch(layer, values, &mut acc);
+            prop_assert_eq!(&verified.flagged, &expected, "value kernel, layer {}", layer);
+            let bytes: Vec<u8> = values.iter().map(|&v| v as u8).collect();
+            let fetched = radar.fetch_verify_layer_at_epoch_with_scratch(
+                radar.current_epoch(),
+                layer,
+                &bytes,
+                &mut dst,
+                &mut acc,
+            );
+            prop_assert_eq!(&fetched.flagged, &expected, "fetch kernel, layer {}", layer);
         }
     }
 

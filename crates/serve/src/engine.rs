@@ -28,15 +28,15 @@ use crate::traffic::{Batch, Request, TrafficSchedule};
 ///   step between two batches itself: it mounts `timeline`'s rowhammer strikes at
 ///   their scripted batch offsets, sweeps `scrub_layers` layers of the DRAM image
 ///   every `scrub_every` batches through
-///   [`RadarProtection::verify_layer_values_with_scratch`] (recovering whatever the
-///   sweep flags), and, when [`rotate_every`](ServeConfig::rotate_every) is set,
+///   [`RadarProtection::fetch_verify_layer_at_epoch_with_scratch`] (recovering
+///   whatever the sweep flags), and, when [`rotate_every`](ServeConfig::rotate_every) is set,
 ///   performs one re-keying action every `rotate_every` batches — begin a roll,
 ///   re-sign one layer under the next [`KeyEpoch`], publish, retire;
 /// * `workers` **inference worker** threads, each owning one model replica in
 ///   `models` and one weight image. Holding the batch's fetch ticket, a worker
 ///   rebuilds its image in *one* fused fetch-and-verify pass — each layer's bytes
-///   are copied out of the shared [`WeightDram`] once and the still-cache-hot copy
-///   is verified (when `inpath_verify` is on) — and recovers flagged groups in DRAM
+///   are copied out of the shared [`WeightDram`] row by row, and each row is added
+///   to the group sums while still in L1 (when `inpath_verify` is on) — and recovers flagged groups in DRAM
 ///   and in its image before it releases the ticket. Inference then runs
 ///   `forward_with_values` straight off the image's `&[i8]` slices. Each worker pins
 ///   the key epoch it observed at its ticket and the protection accepts

@@ -4,7 +4,9 @@ use radar_memsim::WeightDram;
 /// Zero-out recovery applied directly to the weight bytes *in DRAM*, with a re-check:
 /// every layer named by `report` is first re-verified against the current image, and
 /// only the groups that are **still** flagged are zeroed (and their golden signatures
-/// refreshed).
+/// refreshed). The re-check is the fused kernel
+/// ([`RadarProtection::fetch_verify_layer_at_epoch_with_scratch`]) at the current
+/// epoch: one pass over each layer's stored bytes.
 ///
 /// The re-check is what makes concurrent detectors safe: when the in-path check and
 /// a scrub sweep flag the same corruption, whichever acquires the write
@@ -44,12 +46,17 @@ pub fn recover_in_dram_traced(
     layers.sort_unstable();
     layers.dedup();
 
-    let mut buf = Vec::new();
-    let mut acc = Vec::new();
+    let (mut buf, mut acc) = (Vec::new(), Vec::new());
+    let epoch = radar.current_epoch();
     let mut confirmed = DetectionReport::default();
     for &layer in &layers {
-        dram.read_layer_into(layer, &mut buf);
-        confirmed.merge(&radar.verify_layer_values_with_scratch(layer, &buf, &mut acc));
+        confirmed.merge(&radar.fetch_verify_layer_at_epoch_with_scratch(
+            epoch,
+            layer,
+            dram.layer_bytes(layer),
+            &mut buf,
+            &mut acc,
+        ));
     }
     let recovery = radar.recover_in(&confirmed, |layer, members| {
         for &member in members {

@@ -27,9 +27,9 @@ use crate::telemetry::RotationEventKind;
 /// DRAM bytes into the serving worker's image `layers` — the batch's single sweep
 /// over the weight stream. With `prot` provided, each layer runs the fused kernel
 /// ([`RadarProtection::fetch_verify_layer_at_epoch_with_scratch`]) under the
-/// [`KeyEpoch`] the builder pinned at its fetch ticket: the bytes are copied out
-/// once and the masked group sums are taken over the still-cache-hot copy, so the
-/// build reads the weight stream from DRAM once instead of twice. A rotation
+/// [`KeyEpoch`] the builder pinned at its fetch ticket: each row of bytes is copied
+/// into the image and added to the masked group sums while it is still in L1, so
+/// the build reads the weight stream from DRAM once instead of twice. A rotation
 /// publish landing between the pin and this call moves the pinned epoch into the
 /// protection's `{current, previous}` acceptance window; verification proceeds
 /// against the matching retained store either way. Without a protection the build
@@ -86,7 +86,9 @@ pub(crate) fn refresh_layers(dram: &WeightDram, report: &DetectionReport, layers
 ///
 /// 1. while a roll is in progress, re-sign the next layer — verifying it under the
 ///    *current* epoch first and recovering (in DRAM and in every retained signature
-///    store) anything flagged, so corruption is never blessed into the next epoch;
+///    store) anything flagged, so corruption is never blessed into the next epoch.
+///    The check is the fused kernel, and the layer is re-signed from the copy it
+///    leaves in `buf` (re-read after a recovery, so it holds the zeroed bytes);
 /// 2. once every layer is signed, publish the pending epoch;
 /// 3. with no roll in progress but a previous epoch still retained, retire it;
 /// 4. otherwise begin the next roll.
@@ -107,8 +109,13 @@ pub(crate) fn rotation_step(
 ) -> (RotationEventKind, RecoveryReport) {
     let mut recovered = RecoveryReport::default();
     let kind = if let Some(layer) = prot.next_unsigned_layer() {
-        dram.read_layer_into(layer, buf);
-        let report = prot.verify_layer_values_with_scratch(layer, buf, acc);
+        let report = prot.fetch_verify_layer_at_epoch_with_scratch(
+            prot.current_epoch(),
+            layer,
+            dram.layer_bytes(layer),
+            buf,
+            acc,
+        );
         if report.attack_detected() {
             recovered = recover_in_dram_traced(prot, dram, &report, on_zeroed);
             dram.read_layer_into(layer, buf);
@@ -129,8 +136,9 @@ pub(crate) fn rotation_step(
 }
 
 /// One scrub sweep step: verifies `step` layers of the DRAM image starting at
-/// `cursor` (wrapping), straight from the stored bytes — no model replica involved.
-/// Returns the merged detection report for the swept slice.
+/// `cursor` (wrapping), straight from the stored bytes — no model replica involved —
+/// with the fused kernel at the current epoch, one pass per layer (the copy it leaves
+/// in `buf` is scratch). Returns the merged detection report for the swept slice.
 pub(crate) fn scrub_sweep(
     dram: &WeightDram,
     prot: &RadarProtection,
@@ -141,10 +149,16 @@ pub(crate) fn scrub_sweep(
 ) -> DetectionReport {
     let num_layers = dram.num_layers();
     let mut flagged = DetectionReport::default();
+    let epoch = prot.current_epoch();
     for i in 0..step {
         let layer = (cursor + i) % num_layers;
-        dram.read_layer_into(layer, buf);
-        flagged.merge(&prot.verify_layer_values_with_scratch(layer, buf, acc));
+        flagged.merge(&prot.fetch_verify_layer_at_epoch_with_scratch(
+            epoch,
+            layer,
+            dram.layer_bytes(layer),
+            buf,
+            acc,
+        ));
     }
     flagged
 }

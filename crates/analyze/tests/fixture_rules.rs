@@ -57,6 +57,7 @@ fn every_rule_catches_its_seeded_fixture_violation() {
         "unsafe-forbid",
         "no-unwrap-worker",
         "worker-snapshot-only",
+        "kernels-single-threaded",
         "secret-hygiene",
         "obs-off-purity",
     ] {
@@ -116,6 +117,22 @@ fn snapshot_rule_catches_the_float_write_back_path() {
     // The DRAM read, the replica write-back, the float forward and the whole-model
     // rescan all fire.
     assert_eq!(rule.violations.len(), 4, "got: {:#?}", rule.violations);
+}
+
+#[test]
+fn kernel_thread_rule_covers_the_kernel_crates_outside_test_regions() {
+    let report = run_fixture("kernels-single-threaded");
+    let rule = report.rule("kernels-single-threaded").expect("rule exists");
+    // The tensor kernel's scope and the radar sweep's spawn fire; the radar test
+    // module's spawn and the serve engine's worker scope do not.
+    let mut files: Vec<&str> = rule.violations.iter().map(|v| v.file.as_str()).collect();
+    files.sort_unstable();
+    assert_eq!(
+        files,
+        ["crates/radar/src/grouping.rs", "crates/tensor/src/gemm.rs"],
+        "got: {:#?}",
+        rule.violations
+    );
 }
 
 #[test]

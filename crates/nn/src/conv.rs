@@ -1,6 +1,5 @@
 use radar_tensor::{
-    col2im, gemm_i8_requant, gemm_threads, im2col, im2col_i8, quantize_activations, Conv2dGeometry,
-    Tensor,
+    col2im, gemm_i8_requant, im2col, im2col_i8, quantize_activations, Conv2dGeometry, Tensor,
 };
 use rand::Rng;
 
@@ -197,7 +196,6 @@ impl Layer for Conv2d {
             ncols,
             &[view.scale * a_scale],
             Some(self.bias.value.data()),
-            gemm_threads(),
         );
         let out2 = Tensor::from_vec(out2, &[self.out_channels, ncols]).expect("conv output shape");
         Self::to_nchw(&out2, n, self.out_channels, ho, wo)

@@ -1,4 +1,4 @@
-use radar_tensor::{gemm_threads, linear_i8_requant, quantize_activations, Tensor};
+use radar_tensor::{linear_i8_requant, quantize_activations, Tensor};
 use rand::Rng;
 
 use crate::init::he_normal;
@@ -114,7 +114,6 @@ impl Layer for Linear {
             self.out_features,
             &[view.scale * a_scale],
             Some(self.bias.value.data()),
-            gemm_threads(),
         );
         Tensor::from_vec(data, &[n, self.out_features]).expect("linear output shape is consistent")
     }

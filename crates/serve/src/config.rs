@@ -11,8 +11,8 @@ use radar_obs::{ObsConfig, ObsLevel};
 pub enum ExecPath {
     /// Run forward straight off the verified image's `i8` bytes through the true integer
     /// GEMM — i8×i8 products accumulated in `i32`, scales applied in the
-    /// requantization epilogue, optionally threaded via `RADAR_GEMM_THREADS` — no
-    /// float weight tensor, no model write-back.
+    /// requantization epilogue, on the worker's own thread — no float weight tensor,
+    /// no model write-back.
     #[default]
     QuantizedNative,
 }

@@ -153,11 +153,10 @@ pub fn serve(
         // fetch in batch order, overlapped inference. The ticket holder rebuilds its
         // image in one fused fetch-and-verify pass and recovers and refreshes it
         // before releasing the ticket; inference runs the integer GEMM (i8×i8
-        // products, i32 accumulation, requantization epilogue; GEMM-level threading
-        // stays at the RADAR_GEMM_THREADS default so worker parallelism composes
-        // predictably) straight off the image's slices. The replica contributes only
-        // its structure, scales and float-only layers; its stored weights are never
-        // written.
+        // products, i32 accumulation, requantization epilogue) on this thread,
+        // straight off the image's slices: the workers are the one source of
+        // inference parallelism. The replica contributes only its structure, scales
+        // and float-only layers; its stored weights are never written.
         for (w, mut model) in models.into_iter().enumerate() {
             let dram = &dram;
             let protection = protection.as_ref();

@@ -387,25 +387,26 @@ impl Telemetry {
             })
         });
 
-        // Time to detect: from the first strike that landed a flip to the first
+        // Time to detect: from the earliest strike that landed a flip to the first
         // detection at or after it. Requests are counted over the batches served in
         // between — the traffic exposed to corrupted weights before detection.
-        let time_to_detect = attack.as_ref().and_then(|attack| {
-            if attack.mount.flips_landed == 0 {
-                return None;
-            }
-            let first = detections.iter().find(|d| d.batch >= attack.first_batch)?;
-            let requests_between = completions
-                .iter()
-                .filter(|r| r.batch >= attack.first_batch && r.batch < first.batch)
-                .count();
-            Some(TimeToDetect {
-                batches: first.batch - attack.first_batch,
-                requests: requests_between,
-                seconds: (first.at_seconds - attack.first_at_seconds).max(0.0),
-                via_scrub: first.via_scrub,
-            })
-        });
+        let time_to_detect = strikes
+            .iter()
+            .filter(|s| s.mount.flips_landed > 0)
+            .min_by_key(|s| s.batch)
+            .and_then(|landed| {
+                let first = detections.iter().find(|d| d.batch >= landed.batch)?;
+                let requests_between = completions
+                    .iter()
+                    .filter(|r| r.batch >= landed.batch && r.batch < first.batch)
+                    .count();
+                Some(TimeToDetect {
+                    batches: first.batch - landed.batch,
+                    requests: requests_between,
+                    seconds: (first.at_seconds - landed.at_seconds).max(0.0),
+                    via_scrub: first.via_scrub,
+                })
+            });
 
         obs.journal.keep_latest(journal_capacity);
         let wall_seconds = obs.wall_seconds;
@@ -452,7 +453,7 @@ impl Telemetry {
 pub struct AttackSummary {
     /// Number of strikes mounted.
     pub strikes: usize,
-    /// Batch index of the earliest strike.
+    /// Batch index of the earliest strike, whether or not it landed a flip.
     pub first_batch: usize,
     /// Wall-clock offset of the earliest strike, in seconds since serving started.
     pub first_at_seconds: f64,
@@ -460,14 +461,15 @@ pub struct AttackSummary {
     pub mount: MountReport,
 }
 
-/// Detection latency relative to the first strike.
+/// Detection latency relative to the earliest strike that landed a flip (strikes
+/// that landed nothing corrupt no weights and are not counted).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeToDetect {
-    /// Batches dispatched between the strike and the detecting pass.
+    /// Batches dispatched between that strike and the detecting pass.
     pub batches: usize,
     /// Requests served on potentially corrupted weights before detection.
     pub requests: usize,
-    /// Wall-clock seconds from the strike to the detection.
+    /// Wall-clock seconds from that strike to the detection.
     pub seconds: f64,
     /// Whether a scrub sweep (rather than the in-path check) made the detection.
     pub via_scrub: bool,
@@ -528,8 +530,8 @@ pub struct ServeOutcome {
     /// Every rotation tick, in logical order
     /// (empty when rotation is disabled).
     pub rotations: Vec<RotationEvent>,
-    /// Detection latency for the first strike (`None` when nothing was detected or
-    /// nothing was attacked).
+    /// Detection latency from the earliest strike that landed a flip (`None` when
+    /// no strike landed a flip or no detection followed it).
     pub time_to_detect: Option<TimeToDetect>,
     /// Total recovery work performed.
     pub recovery: RecoveryReport,
@@ -666,6 +668,26 @@ mod tests {
         let attack = outcome.attack.expect("strike recorded");
         assert_eq!(attack.strikes, 1);
         assert_eq!(attack.mount.flips_landed, 3);
+    }
+
+    #[test]
+    fn time_to_detect_counts_from_the_first_strike_that_landed_a_flip() {
+        let telemetry = Telemetry::new();
+        let mut shard = telemetry.shard(Tid::Batcher);
+        // Batches 0..6, two requests each.
+        for id in 0..12 {
+            telemetry.complete(&mut shard, record(id, id / 2, true));
+        }
+        // The strike at batch 1 misses every flip; the one at batch 4 lands two and
+        // is caught in the same batch, so no request saw corrupted weights.
+        Telemetry::strike(&mut shard, 1, mount(0, 4));
+        Telemetry::strike(&mut shard, 4, mount(2, 0));
+        Telemetry::detection(&mut shard, 4, false, 2);
+        let outcome = finish(telemetry, shard, 6);
+        let ttd = outcome.time_to_detect.expect("attacked and detected");
+        assert_eq!((ttd.batches, ttd.requests), (0, 0));
+        let attack = outcome.attack.expect("strikes recorded");
+        assert_eq!((attack.strikes, attack.first_batch), (2, 1));
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!
 //! The [`gemm`](self) kernels behind the inference hot path live in the `gemm`
 //! module: the float oracle [`gemm_f32`] and the true-integer quantized-native
-//! kernels ([`gemm_i8`], [`gemm_i8_requant`], [`linear_i8_requant`],
-//! [`quantize_activations`]) — i8×i8 products accumulated in `i32` with per-row
-//! requantization, threaded via [`gemm_threads`]. See `docs/KERNELS.md` at the
+//! kernels ([`gemm_i8_requant`], [`linear_i8_requant`], [`quantize_activations`]) —
+//! i8×i8 products accumulated in `i32` with per-row requantization, run on the
+//! calling thread (in serving, one inference worker). See `docs/KERNELS.md` at the
 //! repository root for the full execution-path architecture.
 //!
 //! # Example
@@ -40,8 +40,8 @@ mod tensor;
 pub use conv::{col2im, im2col, im2col_i8, Conv2dGeometry};
 pub use error::TensorError;
 pub use gemm::{
-    gemm_f32, gemm_i8, gemm_i8_requant, gemm_threads, linear_i8_requant, parse_gemm_threads,
-    quantize_activations, set_gemm_threads, GEMM_CALLS, GEMM_PANELS, MAX_GEMM_K,
+    gemm_f32, gemm_i8_requant, linear_i8_requant, quantize_activations, set_gemm_threads,
+    GEMM_CALLS, GEMM_PANELS, MAX_GEMM_K,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -7,22 +7,20 @@
 //! Contracts proved here:
 //! - `gemm_f32` is *bit-identical* to the textbook triple loop — the kernel only
 //!   reorders which elements are worked on, never the additions into one element.
-//! - `gemm_i8` is *integer-exact*: equal to widening every operand to `i32` and
-//!   running the textbook loop. Integer addition is associative, so register tiling
-//!   and zero-padded ragged tiles cannot change a single bit.
-//! - `gemm_i8_requant` / `linear_i8_requant` threaded output is *bit-identical* to
-//!   single-threaded for any thread count (each output element is computed by exactly
-//!   one worker, from the same exact integer accumulator), including column splits
-//!   whose windows start off a tile boundary.
+//! - `gemm_i8_requant` and `linear_i8_requant` are *integer-exact* at unit scale with
+//!   no bias: equal to widening every operand to `i32` and running the textbook loop
+//!   (every sum in these shapes is below 2²⁴, so it widens to `f32` exactly). Integer
+//!   addition is associative, so register tiling, zero-padded ragged tiles and the dot
+//!   product's lane remainder cannot change a single bit.
 //! - The requantization epilogue tracks the infinitely-precise `acc·scale + bias` to
-//!   within its three `f32` roundings (widen, multiply, add).
+//!   within its three `f32` roundings (widen, multiply, add), per-row scales included.
 //! - End to end: integer weights at unit scale × integer-valued activations (which
 //!   quantize exactly at a power-of-two scale) make the whole integer pipeline
 //!   bit-identical to the float oracle. The general argmax-level agreement is pinned
 //!   in `radar-quant`'s `native_equivalence` tests.
 
 use proptest::prelude::*;
-use radar_tensor::{gemm_f32, gemm_i8, gemm_i8_requant, linear_i8_requant, quantize_activations};
+use radar_tensor::{gemm_f32, gemm_i8_requant, linear_i8_requant, quantize_activations};
 
 /// The textbook f32 reference: `i-k-j` accumulation, no blocking, no zero skipping.
 fn naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
@@ -89,8 +87,8 @@ proptest! {
         prop_assert_eq!(gemm_f32(&a, &b, m, k, n), naive(&a, &b, m, k, n));
     }
 
-    /// The blocked, tiled, zero-skipping integer kernel is integer-exact: bit-equal
-    /// to the widen-to-i32 textbook loop over ragged panel-straddling shapes.
+    /// The tiled integer kernel is integer-exact: at unit scale with no bias it is
+    /// bit-equal to the widen-to-i32 textbook loop over ragged panel-straddling shapes.
     #[test]
     fn gemm_i8_equals_widen_to_i32_reference(
         (m, k, n) in ragged_dims(),
@@ -99,92 +97,58 @@ proptest! {
     ) {
         let w: Vec<i8> = (0..m * k).map(|i| wseed[i % wseed.len()]).collect();
         let x: Vec<i8> = (0..k * n).map(|i| xseed[(i * 13 + 5) % xseed.len()]).collect();
-        prop_assert_eq!(gemm_i8(&w, &x, m, k, n), naive_i32(&w, &x, m, k, n));
-    }
-
-    /// Threaded requantizing GEMM is bit-identical to single-threaded for any thread
-    /// count — covering both the row-split (`m >= threads`) and the column-split
-    /// (`m < threads`) path, per-row scales and fused bias included.
-    #[test]
-    fn threaded_gemm_requant_is_bit_identical_to_single_threaded(
-        (m, k, n) in ragged_dims(),
-        threads in 2usize..6,
-        wseed in prop::collection::vec(weight(), 64..65),
-        xseed in prop::collection::vec(weight(), 64..65),
-        sseed in prop::collection::vec(0.001f32..0.75, 8..9),
-    ) {
-        let w: Vec<i8> = (0..m * k).map(|i| wseed[i % wseed.len()]).collect();
-        let x: Vec<i8> = (0..k * n).map(|i| xseed[(i * 13 + 5) % xseed.len()]).collect();
-        let scales: Vec<f32> = (0..m).map(|i| sseed[i % sseed.len()]).collect();
-        let bias: Vec<f32> = (0..m).map(|i| sseed[(i * 3 + 1) % sseed.len()] - 0.4).collect();
-        let single = gemm_i8_requant(&w, &x, m, k, n, &scales, Some(&bias), 1);
-        let multi = gemm_i8_requant(&w, &x, m, k, n, &scales, Some(&bias), threads);
-        prop_assert_eq!(single, multi);
-    }
-
-    /// A column split whose windows start off a 16-column tile boundary: `m` is below
-    /// the thread count, so the columns are split, and every worker's share is
-    /// `16q + r` columns with `0 < r < 16`. The threaded output equals the exact
-    /// integer reference (unit scale, no bias: every sum is exact in `f32`).
-    #[test]
-    fn unaligned_column_split_equals_integer_reference(
-        threads in 2usize..6,
-        (q, r) in (1usize..3, 1usize..16),
-        m_pick in 0usize..8,
-        k in edge_extent(),
-        wseed in prop::collection::vec(weight(), 64..65),
-        xseed in prop::collection::vec(weight(), 64..65),
-    ) {
-        let m = 1 + m_pick % (threads - 1);
-        let n = threads * (16 * q + r);
-        let w: Vec<i8> = (0..m * k).map(|i| wseed[i % wseed.len()]).collect();
-        let x: Vec<i8> = (0..k * n).map(|i| xseed[(i * 13 + 5) % xseed.len()]).collect();
         let want: Vec<f32> = naive_i32(&w, &x, m, k, n).iter().map(|&v| v as f32).collect();
-        prop_assert_eq!(gemm_i8_requant(&w, &x, m, k, n, &[1.0], None, threads), want);
+        prop_assert_eq!(gemm_i8_requant(&w, &x, m, k, n, &[1.0], None), want);
     }
 
-    /// Threaded fully-connected kernel is bit-identical to single-threaded over
-    /// ragged depths, including the `rows < threads` remainder handling.
+    /// The fully-connected kernel is integer-exact over ragged depths: at unit scale
+    /// with no bias, `x × Wᵀ` equals the widen-to-i32 loop on the transposed weights,
+    /// whatever remainder the depth leaves past the dot product's 16 lanes.
     #[test]
-    fn threaded_linear_requant_is_bit_identical_to_single_threaded(
+    fn linear_i8_requant_equals_transposed_widen_to_i32_reference(
         (rows, k, m) in (1usize..6, 1usize..300, 1usize..10),
-        threads in 2usize..6,
         wseed in prop::collection::vec(weight(), 64..65),
         xseed in prop::collection::vec(weight(), 64..65),
     ) {
         let x: Vec<i8> = (0..rows * k).map(|i| xseed[i % xseed.len()]).collect();
         let w: Vec<i8> = (0..m * k).map(|i| wseed[(i * 3 + 1) % wseed.len()]).collect();
-        let scale = [0.03125f32];
-        let single = linear_i8_requant(&x, &w, rows, k, m, &scale, None, 1);
-        let multi = linear_i8_requant(&x, &w, rows, k, m, &scale, None, threads);
-        prop_assert_eq!(single, multi);
+        let mut wt = vec![0i8; k * m];
+        for j in 0..m {
+            for p in 0..k {
+                wt[p * m + j] = w[j * k + p];
+            }
+        }
+        let want: Vec<f32> = naive_i32(&x, &wt, rows, k, m).iter().map(|&v| v as f32).collect();
+        prop_assert_eq!(linear_i8_requant(&x, &w, rows, k, m, &[1.0], None), want);
     }
 
     /// The requantization epilogue tracks the infinitely-precise `acc·scale + bias`
     /// (computed in f64) to within its three f32 roundings: widen the i32
-    /// accumulator, multiply by the folded scale, add the bias.
+    /// accumulator, multiply by the row's folded scale, add the row's bias.
     #[test]
     fn requantization_tracks_exact_epilogue_within_rounding(
         (m, k, n) in ragged_dims(),
         wseed in prop::collection::vec(weight(), 64..65),
         xseed in prop::collection::vec(weight(), 64..65),
-        scale in 0.0001f32..0.1,
+        row_scales in prop::collection::vec(0.0001f32..0.1, 9..10),
         bias0 in -2.0f32..2.0,
     ) {
         let w: Vec<i8> = (0..m * k).map(|i| wseed[i % wseed.len()]).collect();
         let x: Vec<i8> = (0..k * n).map(|i| xseed[(i * 13 + 5) % xseed.len()]).collect();
+        let scales = &row_scales[..m];
         let bias: Vec<f32> = (0..m).map(|i| bias0 + i as f32 * 0.125).collect();
         let acc = naive_i32(&w, &x, m, k, n);
-        let out = gemm_i8_requant(&w, &x, m, k, n, &[scale], Some(&bias), 1);
+        let out = gemm_i8_requant(&w, &x, m, k, n, scales, Some(&bias));
         for i in 0..m {
             for j in 0..n {
-                let exact = acc[i * n + j] as f64 * scale as f64 + bias[i] as f64;
+                let scale = scales[i] as f64;
+                let exact = acc[i * n + j] as f64 * scale + bias[i] as f64;
                 let got = out[i * n + j] as f64;
                 // Three roundings, each ≤ half an ulp of its intermediate: bound by
                 // 3 ulp of the result magnitude (plus the bias magnitude, in case of
                 // cancellation in the final add).
                 let ulp = f32::EPSILON as f64
-                    * (acc[i * n + j].unsigned_abs() as f64 * scale as f64
+                    * (acc[i * n + j].unsigned_abs() as f64 * scale
                         + bias[i].abs() as f64
                         + f32::MIN_POSITIVE as f64);
                 prop_assert!(
@@ -209,7 +173,7 @@ proptest! {
         let w: Vec<i8> = (0..m * k).map(|i| wseed[i % wseed.len()] as i8).collect();
         let x: Vec<f32> = (0..k * n).map(|i| xseed[(i * 13 + 5) % xseed.len()] as f32).collect();
         let (xq, a_scale) = quantize_activations(&x);
-        let native = gemm_i8_requant(&w, &xq, m, k, n, &[a_scale], None, 1);
+        let native = gemm_i8_requant(&w, &xq, m, k, n, &[a_scale], None);
         let wf: Vec<f32> = w.iter().map(|&q| q as f32).collect();
         prop_assert_eq!(native, naive(&wf, &x, m, k, n));
     }

@@ -11,8 +11,8 @@
 //! * **determinism** — no ambient entropy or wall-clock in logical paths, so runs
 //!   replay from seeds (telemetry and benches are allowlisted *with reasons*);
 //! * **atomics discipline** — every `Ordering::Relaxed` carries a `// relaxed:`
-//!   justification, and the serve sync protocol's ticket/barrier atomics may not
-//!   use `Relaxed` at all;
+//!   justification, and atomics in the serve sync module may not use `Relaxed`
+//!   at all;
 //! * **no `unsafe`** — every crate root forbids it (attribute or workspace lint
 //!   table), and serve worker loops don't `unwrap`/`expect`.
 //!

@@ -10,8 +10,8 @@
 //! * wall-clock readings ride along as the `at_seconds` annotation, excluded from
 //!   [`Event::logical_line`] and therefore from every replay comparison.
 //! * within one `(batch, track)` key all events come from a single emitter thread
-//!   (the engine's barrier discipline guarantees this), so a stable sort by key
-//!   yields one canonical order regardless of shard flush interleaving.
+//!   (the serve engine's batcher emits every journal event), so a stable sort by
+//!   key yields one canonical order regardless of shard flush interleaving.
 
 use crate::json::JsonValue;
 
@@ -21,7 +21,7 @@ use crate::json::JsonValue;
 pub enum Track {
     /// The batcher / engine itself.
     Batcher,
-    /// The in-path weight fetch (whichever worker held the batch's ticket).
+    /// The in-path weight fetch: the batch's verified image build.
     Fetch,
     /// Scrub sweeps of the stored image.
     Scrub,

@@ -2,8 +2,8 @@
 //!
 //! A thread owns its [`ObsShard`] outright — recording is plain `&mut self` work
 //! with no locks — and folds it into the shared [`ObsCore`] at natural barrier
-//! points (the serve engine flushes once per batch, after publishing the fetch
-//! ticket). The hot, level-gated recording facade lives in [`crate::hooks`]; this
+//! points (every serve engine thread flushes once per batch). The hot,
+//! level-gated recording facade lives in [`crate::hooks`]; this
 //! module holds construction, flushing and the final report.
 
 use std::sync::Mutex;

@@ -294,12 +294,6 @@ impl RadarProtection {
         self.previous.as_ref().map(|s| s.epoch)
     }
 
-    /// The epoch currently being signed, together with how many layers already
-    /// carry valid signatures under it.
-    pub fn pending_progress(&self) -> Option<(KeyEpoch, usize)> {
-        self.pending.as_ref().map(|p| (p.state.epoch, p.resigned))
-    }
-
     /// Whether a key roll has begun and not yet been published.
     pub fn rotation_in_progress(&self) -> bool {
         self.pending.is_some()
@@ -495,11 +489,10 @@ impl RadarProtection {
     /// is read once, and the bytes verified are the bytes the caller executes.
     ///
     /// This is the kernel of every DRAM-side check: the snapshot build, the scrubber,
-    /// the recovery re-check and the key roll's pre-sign check. A builder pins the
-    /// epoch it saw when its fetch ticket came up, and a rotation publish landing
-    /// between pin and verify must not strand it (the pinned epoch is then `previous`
-    /// and still accepted); the other checks pass
-    /// [`current_epoch`](Self::current_epoch).
+    /// the recovery re-check and the key roll's pre-sign check; the serve engine runs
+    /// all of them at [`current_epoch`](Self::current_epoch). A caller that pinned an
+    /// epoch earlier is not stranded by a rotation publish landing between pin and
+    /// verify: the pinned epoch is then `previous` and still accepted.
     ///
     /// An `epoch` that is no longer retained falls back to the current state (see
     /// [`accepts_epoch`](Self::accepts_epoch)) — fail-closed, never skip. `acc` is

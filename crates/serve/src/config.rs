@@ -21,11 +21,11 @@ pub enum ExecPath {
 /// [`ExecPath`], and kept for the same reason.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FetchMode {
-    /// Under the batch's fetch ticket, its worker rebuilds its own weight image in
-    /// one fused fetch-and-verify pass at the epoch it pinned (bytes copied out of
-    /// DRAM once, then verified while cache-hot), recovers and refreshes flagged
-    /// layers, and serves the batch off that image. The variant's name predates
-    /// the per-worker image; nothing is shared between workers.
+    /// The batcher fills one image from the pool in one fused fetch-and-verify pass
+    /// at the current epoch (bytes copied out of DRAM once, then verified while
+    /// cache-hot), recovers and refreshes flagged layers, and dispatches the batch
+    /// with that image; the worker serves off it and hands it back. The variant's
+    /// name predates the image pool; an image is read by one worker at a time.
     #[default]
     SharedSnapshot,
 }
@@ -40,7 +40,9 @@ pub enum FetchMode {
 /// | `RADAR_SERVE_BATCH` | maximum requests coalesced per batch | 8 |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Number of inference worker threads (each owns a model replica).
+    /// Number of inference worker threads. Each owns a model replica and serves one
+    /// batch at a time off the image the batcher built for it; `workers + 1` images
+    /// circulate. Logical outcomes do not depend on this count.
     pub workers: usize,
     /// Maximum requests the batcher coalesces into one batch.
     pub max_batch: usize,
@@ -54,8 +56,9 @@ pub struct ServeConfig {
     pub strict_batching: bool,
     /// Capacity of the bounded request queue (senders block when it is full).
     pub queue_capacity: usize,
-    /// Whether workers verify each layer in the weight-fetch path (RADAR's in-path
-    /// check). Off models a deployment that relies on scrub sweeps alone.
+    /// Whether each batch's image build verifies every layer in the weight-fetch
+    /// path (RADAR's in-path check). Off models a deployment that relies on scrub
+    /// sweeps alone.
     pub inpath_verify: bool,
     /// The batcher performs one incremental scrub sweep step every `scrub_every`
     /// dispatched batches; `0` disables scrubbing entirely.
@@ -67,8 +70,8 @@ pub struct ServeConfig {
     /// publish the next epoch, retire the previous one) every `rotate_every`
     /// dispatched batches; `0` disables key rotation. A full roll
     /// of an `L`-layer model therefore spans `L + 3` rotation ticks, during which
-    /// workers keep serving — verification pins the epoch it observed and the
-    /// protection accepts `{current, previous}` across the publish.
+    /// workers keep serving: each batch's image is verified at the epoch current
+    /// when the batcher builds it.
     pub rotate_every: usize,
     /// Served-accuracy window size, in requests.
     pub window: usize,

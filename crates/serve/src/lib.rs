@@ -17,40 +17,41 @@
 //! # Architecture (threads, no async runtime)
 //!
 //! ```text
-//! driver ──bounded queue──▶ batcher ──batch dispatch──▶ worker pool
-//!                              │ at the fetch barrier:     │ per batch, under the ticket:
-//!                              │ strike, scrub sweep,      │ fused fetch + verify into
-//!                              │ rotation tick             │ its own image, recover, refresh;
-//!                              ▼                           ▼ then infer off the image
-//!                     shared WeightDram (RwLock) + shared RadarProtection (RwLock)
+//! driver ──bounded queue──▶ batcher ──(batch, image)──▶ worker pool
+//!                           ▲  │ per batch, in order:        │ infer off
+//!                           │  │ strike, scrub sweep,        │ the image
+//!                           │  │ rotation tick, fused fetch  │
+//!                           │  │ + verify into an image,     │
+//!                           │  │ recover, refresh            │
+//!                           │  ▼                             │
+//!                           │  WeightDram + RadarProtection  │
+//!                           │  (owned by the batcher alone)  │
+//!                           └──────────── image return ◀─────┘
 //! ```
 //!
 //! [`serve`] wires the components: a bounded request queue feeds a batcher that
-//! coalesces up to `max_batch` requests (waiting at most `max_wait`) and, between
-//! batches, runs every step that changes the stored weights or their keys: it
+//! coalesces up to `max_batch` requests (waiting at most `max_wait`) and is the only
+//! thread that touches the stored weights and their keys. Before each batch it
 //! mounts the [`AttackTimeline`](radar_memsim::AttackTimeline)'s scripted strikes,
 //! sweeps the DRAM image incrementally, and, when [`ServeConfig::rotate_every`] is
 //! set, rolls the protection to a fresh [`KeyEpoch`](radar_core::KeyEpoch) — one
 //! layer re-signed per tick, publish, retire ([`RotationEvent`]s record the roll in
-//! telemetry). For every batch, the worker holding the fetch ticket copies the
-//! weights out of the shared [`WeightDram`](radar_memsim::WeightDram) into its own
-//! image in one fused fetch-and-verify pass, recovers anything flagged, and runs
-//! the integer GEMM off that image. Recovery zeroes flagged groups directly in the
-//! DRAM image (and refreshes the golden signatures) without stopping service. Each
-//! worker pins the epoch it observed at its fetch ticket, and verification accepts
-//! `{current, previous}` across a publish.
+//! telemetry). It then copies the weights out of the
+//! [`WeightDram`](radar_memsim::WeightDram) into the batch's image in one fused
+//! fetch-and-verify pass, recovers anything flagged, and dispatches the batch with
+//! its image. Recovery zeroes flagged groups directly in the DRAM image (and
+//! refreshes the golden signatures) without stopping service. The workers run the
+//! integer GEMM off the image and hand it back; `workers + 1` images circulate.
 //!
-//! Weight fetches are ticketed in batch order, the batcher's strike, scrub and
-//! rotation steps only run at fetch barriers, and [`ServeConfig::strict_batching`]
-//! pins batch composition to the request stream, so every *logical* outcome of a
-//! run — who served corrupted weights, when detection fired, the accuracy windows —
-//! replays deterministically for a fixed seed; only the measured wall-clock
-//! telemetry varies.
+//! Every step that reads or writes the weights runs on the batcher in batch order,
+//! and [`ServeConfig::strict_batching`] pins batch composition to the request
+//! stream, so every *logical* outcome of a run — who served corrupted weights, when
+//! detection fired, the accuracy windows — replays deterministically for a fixed
+//! seed and any worker count; only the measured wall-clock telemetry varies.
 
 mod config;
 mod engine;
 mod recovery;
-pub mod schedule;
 mod steps;
 mod sync;
 mod telemetry;
@@ -62,7 +63,7 @@ pub use engine::{replicas, serve};
 // `radar_serve::LatencyHistogram` consumers keep compiling. The observability
 // config types travel with `ServeConfig::obs`.
 pub use radar_obs::{LatencyHistogram, ObsConfig, ObsLevel, ObsReport};
-pub use recovery::{recover_in_dram, recover_in_dram_traced};
+pub use recovery::recover_in_dram;
 pub use telemetry::{
     metric, AccuracyWindow, AttackStrike, AttackSummary, DetectionEvent, RequestRecord,
     RotationEvent, RotationEventKind, ServeOutcome, Telemetry, TimeToDetect,

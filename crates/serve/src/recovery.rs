@@ -8,36 +8,15 @@ use radar_memsim::WeightDram;
 /// ([`RadarProtection::fetch_verify_layer_at_epoch_with_scratch`]) at the current
 /// epoch: one pass over each layer's stored bytes.
 ///
-/// The re-check is what makes concurrent detectors safe: when the in-path check and
-/// a scrub sweep flag the same corruption, whichever acquires the write
-/// locks first performs the recovery; the second finds the image already clean and
-/// does nothing — no double-zeroing, no double-counted recovery statistics, no flags
-/// raised against already-recovered groups. Flips that landed *after* `report` was
-/// taken but in the same layers are swept up by the re-check as a bonus.
-///
-/// Callers must hold exclusive access to both `radar` and `dram` (in the serving
-/// engine: the write sides of their `RwLock`s, acquired in DRAM-then-protection
-/// order).
+/// The re-check makes recovery idempotent: a second recovery from a stale report
+/// naming groups that are already zeroed finds them clean and does nothing — no
+/// double-zeroing, no double-counted recovery statistics, no flags raised against
+/// already-recovered groups. Flips that landed *after* `report` was taken but in the
+/// same layers are swept up by the re-check as a bonus.
 pub fn recover_in_dram(
     radar: &mut RadarProtection,
     dram: &mut WeightDram,
     report: &DetectionReport,
-) -> RecoveryReport {
-    recover_in_dram_traced(radar, dram, report, |_, _| {})
-}
-
-/// [`recover_in_dram`] with an observer: `on_zeroed(layer, group)` is invoked exactly
-/// once per group the re-check confirmed and zeroed, after the recovery completes.
-///
-/// The deterministic schedule model-checker uses this to account zeroed groups across
-/// every enumerated interleaving — proving each corrupted group is recovered (and
-/// counted) exactly once no matter which racing detector gets there first — while the
-/// engine's own calls go through the no-op observer of [`recover_in_dram`].
-pub fn recover_in_dram_traced(
-    radar: &mut RadarProtection,
-    dram: &mut WeightDram,
-    report: &DetectionReport,
-    mut on_zeroed: impl FnMut(usize, usize),
 ) -> RecoveryReport {
     if !report.attack_detected() {
         return RecoveryReport::default();
@@ -58,17 +37,11 @@ pub fn recover_in_dram_traced(
             &mut acc,
         ));
     }
-    let recovery = radar.recover_in(&confirmed, |layer, members| {
+    radar.recover_in(&confirmed, |layer, members| {
         for &member in members {
             dram.write(dram.offset_of(layer, member), 0);
         }
-    });
-    // `confirmed` is merged (sorted, deduplicated), so this reports each zeroed
-    // group exactly once.
-    for flagged in &confirmed.flagged {
-        on_zeroed(flagged.layer, flagged.group);
-    }
-    recovery
+    })
 }
 
 #[cfg(test)]
@@ -117,8 +90,8 @@ mod tests {
 
         let first = recover_in_dram(&mut radar, &mut dram, &report);
         assert_eq!(first.groups_zeroed, 1);
-        // A concurrent detector that raced to the same (now stale) report recovers
-        // nothing: the re-check sees a clean image.
+        // A second detector holding the same (now stale) report recovers nothing:
+        // the re-check sees a clean image.
         let second = recover_in_dram(&mut radar, &mut dram, &report);
         assert_eq!(second, RecoveryReport::default());
     }

@@ -1,14 +1,10 @@
-//! The protocol steps of the serving engine, as plain functions over the shared
-//! state they touch.
+//! The protocol steps of the serving engine, as plain functions over the state
+//! they touch.
 //!
-//! These are the atomic units of the serve/detect concurrency core: the ticket
-//! holder's fused image build and post-recovery refresh, the batcher's re-keying
-//! tick and incremental scrub sweep, and the walk over a detection report's flagged
-//! layers. The OS-scheduled engine ([`crate::engine`])
-//! calls them under its `RwLock` guards; the deterministic schedule model-checker
-//! ([`crate::schedule`]) calls the *same* functions in exhaustively enumerated
-//! orders — so what the checker proves is a property of the code the engine runs,
-//! not of a parallel re-implementation.
+//! The batcher ([`crate::engine`]) runs each of them in batch order, on its own
+//! thread: the fused image build and the post-recovery refresh, the re-keying tick,
+//! the incremental scrub sweep, and the walk over a detection report's flagged
+//! layers. Each is tested here on its own against an unfused reference.
 //!
 //! Every function here is allocation-free after its caller's scratch buffers warm up
 //! (the `hot-path-alloc` rule in `crates/analyze/lints.toml` enforces this at the
@@ -20,24 +16,22 @@ use radar_core::{DetectionReport, KeyEpoch, RadarProtection, RecoveryReport};
 use radar_memsim::WeightDram;
 use radar_obs::Stopwatch;
 
-use crate::recovery::recover_in_dram_traced;
+use crate::recovery::recover_in_dram;
 use crate::telemetry::RotationEventKind;
 
 /// The per-batch image build: one fused fetch-and-verify pass over every layer's
-/// DRAM bytes into the serving worker's image `layers` — the batch's single sweep
-/// over the weight stream. With `prot` provided, each layer runs the fused kernel
-/// ([`RadarProtection::fetch_verify_layer_at_epoch_with_scratch`]) under the
-/// [`KeyEpoch`] the builder pinned at its fetch ticket: each row of bytes is copied
-/// into the image and added to the masked group sums while it is still in L1, so
-/// the build reads the weight stream from DRAM once instead of twice. A rotation
-/// publish landing between the pin and this call moves the pinned epoch into the
-/// protection's `{current, previous}` acceptance window; verification proceeds
-/// against the matching retained store either way. Without a protection the build
-/// is a plain per-layer copy.
+/// DRAM bytes into the batch's image `layers` — the batch's single sweep over the
+/// weight stream. With `prot` provided, each layer runs the fused kernel
+/// ([`RadarProtection::fetch_verify_layer_at_epoch_with_scratch`]) under the given
+/// [`KeyEpoch`] (the engine passes the current one; the protection also accepts
+/// the previous epoch until it is retired): each row of bytes is copied into the
+/// image and added to the masked group sums while it is still in L1, so the build
+/// reads the weight stream from DRAM once instead of twice. Without a protection
+/// the build is a plain per-layer copy.
 ///
-/// `layers` is resized to the layer count and refilled in place, so a worker's
-/// image allocates on its first build only. Returns the merged detection report
-/// (empty when `prot` is `None`).
+/// `layers` is resized to the layer count and refilled in place, so an image
+/// allocates on its first build only. Returns the merged detection report (empty
+/// when `prot` is `None`).
 ///
 /// `checking` accumulates the *whole* fused sweep time: copy and check are one
 /// pass here, so verify-duty attributes the entire fetch stream to verification —
@@ -70,10 +64,10 @@ pub(crate) fn build_snapshot(
     flagged
 }
 
-/// Re-reads every layer `report` flagged from `dram` into `layers` — the refresh a
-/// worker runs after an in-path recovery zeroed groups, so the image it serves
+/// Re-reads every layer `report` flagged from `dram` into `layers` — the refresh the
+/// batcher runs after an in-path recovery zeroed groups, so the image it dispatches
 /// holds the recovered (zeroed) bytes, never the corrupted ones. This and
-/// [`build_snapshot`] are a worker's only reads of DRAM.
+/// [`build_snapshot`] are the only reads of DRAM into an image.
 pub(crate) fn refresh_layers(dram: &WeightDram, report: &DetectionReport, layers: &mut [Vec<i8>]) {
     for layer in flagged_layers(report) {
         dram.read_layer_into(layer, &mut layers[layer]);
@@ -81,8 +75,7 @@ pub(crate) fn refresh_layers(dram: &WeightDram, report: &DetectionReport, layers
 }
 
 /// One tick of online re-keying: exactly one rotation action, chosen from the
-/// protection's own epoch state so the engine's batcher and the schedule
-/// model-checker drive the identical state machine:
+/// protection's own epoch state:
 ///
 /// 1. while a roll is in progress, re-sign the next layer — verifying it under the
 ///    *current* epoch first and recovering (in DRAM and in every retained signature
@@ -96,16 +89,11 @@ pub(crate) fn refresh_layers(dram: &WeightDram, report: &DetectionReport, layers
 /// A full roll of an `L`-layer model is therefore `L + 3` ticks: begin, `L`
 /// re-signs, publish, retire. Returns the action taken and the recovery work the
 /// pre-sign check performed (empty unless a re-sign tick found corruption).
-/// `on_zeroed(layer, group)` observes every group that recovery zeroed (the
-/// checker's accounting hook; the engine passes a no-op).
-///
-/// Callers must hold exclusive access to both `prot` and `dram`, like any recovery.
 pub(crate) fn rotation_step(
     dram: &mut WeightDram,
     prot: &mut RadarProtection,
     buf: &mut Vec<i8>,
     acc: &mut Vec<i32>,
-    on_zeroed: impl FnMut(usize, usize),
 ) -> (RotationEventKind, RecoveryReport) {
     let mut recovered = RecoveryReport::default();
     let kind = if let Some(layer) = prot.next_unsigned_layer() {
@@ -117,7 +105,7 @@ pub(crate) fn rotation_step(
             acc,
         );
         if report.attack_detected() {
-            recovered = recover_in_dram_traced(prot, dram, &report, on_zeroed);
+            recovered = recover_in_dram(prot, dram, &report);
             dram.read_layer_into(layer, buf);
         }
         prot.resign_layer(layer, buf);
@@ -168,7 +156,7 @@ pub(crate) fn scrub_sweep(
 /// deduplicated, so adjacent-duplicate suppression is exact.)
 ///
 /// [`refresh_layers`] walks this after an in-path recovery to re-read exactly the
-/// recovered layers into the worker's image, so inference consumes the zeroed —
+/// recovered layers into the batch's image, so inference consumes the zeroed —
 /// not corrupted — weights.
 pub(crate) fn flagged_layers(report: &DetectionReport) -> impl Iterator<Item = usize> + '_ {
     let mut last = None;
@@ -259,7 +247,7 @@ mod tests {
             &mut checking,
         );
         assert!(report.attack_detected());
-        recover_in_dram_traced(&mut radar, &mut dram, &report, |_, _| {});
+        recover_in_dram(&mut radar, &mut dram, &report);
         refresh_layers(&dram, &report, &mut snap);
         let mut expect = Vec::new();
         dram.read_layer_into(2, &mut expect);
@@ -292,8 +280,7 @@ mod tests {
         let num_layers = dram.num_layers();
         let (mut buf, mut acc) = (Vec::new(), Vec::new());
         let mut tick = || {
-            let (kind, recovered) =
-                rotation_step(&mut dram, &mut radar, &mut buf, &mut acc, |_, _| {});
+            let (kind, recovered) = rotation_step(&mut dram, &mut radar, &mut buf, &mut acc);
             assert_eq!(
                 recovered,
                 RecoveryReport::default(),
@@ -327,11 +314,8 @@ mod tests {
         let offset = dram.offset_of(0, 3);
         dram.flip_bit(offset, MSB);
         let (mut buf, mut acc) = (Vec::new(), Vec::new());
-        let mut zeroed = Vec::new();
-        let (kind, recovered) =
-            rotation_step(&mut dram, &mut radar, &mut buf, &mut acc, |layer, group| {
-                zeroed.push((layer, group))
-            });
+        let struck = dram.clone();
+        let (kind, recovered) = rotation_step(&mut dram, &mut radar, &mut buf, &mut acc);
         assert_eq!(
             kind,
             RotationEventKind::Resigned {
@@ -340,12 +324,19 @@ mod tests {
             }
         );
         assert_eq!(recovered.groups_zeroed, 1);
-        assert_eq!(zeroed, vec![(0, radar.group_of(0, 3))]);
         assert_eq!(dram.read(offset), 0, "corruption must be zeroed in DRAM");
+        // Only the flipped weight's group was zeroed.
+        let group = radar.group_of(0, 3);
+        for weight in 0..dram.layer_bytes(0).len() {
+            let at = dram.offset_of(0, weight);
+            if dram.read(at) != struck.read(at) {
+                assert_eq!(radar.group_of(0, weight), group, "weight {weight}");
+            }
+        }
         // Finish the roll; the published epoch accepts the recovered image — the
         // corruption was never blessed into the new golden store.
         while !matches!(
-            rotation_step(&mut dram, &mut radar, &mut buf, &mut acc, |_, _| {}),
+            rotation_step(&mut dram, &mut radar, &mut buf, &mut acc),
             (RotationEventKind::Published(_), _)
         ) {}
         dram.read_layer_into(0, &mut buf);
@@ -363,7 +354,7 @@ mod tests {
         // A full roll publishes epoch 1 while our pin is still epoch 0.
         let (mut buf, mut acc) = (Vec::new(), Vec::new());
         while !matches!(
-            rotation_step(&mut dram, &mut radar, &mut buf, &mut acc, |_, _| {}),
+            rotation_step(&mut dram, &mut radar, &mut buf, &mut acc),
             (RotationEventKind::Published(_), _)
         ) {}
         assert_eq!(radar.previous_epoch(), Some(pinned));

@@ -22,7 +22,8 @@ use radar_obs::{
 pub mod metric {
     /// Per-request end-to-end latency histogram (labelled per worker).
     pub const LATENCY_NS: &str = "serve.latency_ns";
-    /// Nanoseconds spent in fetch-path signature verification.
+    /// Nanoseconds the batcher spent in fetch-path signature verification (the
+    /// whole fused image build).
     pub const VERIFY_NS: &str = "serve.verify_ns";
     /// Nanoseconds the batcher spent in scrub sweeps.
     pub const SCRUB_NS: &str = "serve.scrub_ns";
@@ -34,12 +35,11 @@ pub mod metric {
     pub const STRIKES_NEVER_FIRED: &str = "serve.strikes_never_fired";
     /// Verification passes that flagged at least one group.
     pub const DETECTIONS: &str = "serve.detections";
-    /// Verified weight images built (one per batch, by the batch's worker; labelled
-    /// per worker).
+    /// Verified weight images built (one per batch, by the batcher).
     pub const SNAPSHOT_PUBLISHES: &str = "serve.snapshot_publishes";
-    /// Builds that refilled the worker's existing image instead of allocating one
-    /// (builds minus reclaims is the number of images ever allocated, at most one
-    /// per worker).
+    /// Builds that refilled an image a worker handed back instead of allocating one
+    /// (builds minus reclaims is the number of images ever allocated, at most
+    /// `workers + 1`).
     pub const SNAPSHOT_RECLAIMS: &str = "serve.snapshot_reclaims";
 }
 
@@ -152,7 +152,7 @@ impl RotationEventKind {
 }
 
 /// Thread-shared telemetry collector: the batcher and the workers each record into
-/// their own [`ObsShard`] and flush it here at barrier points, and
+/// their own [`ObsShard`] and flush it here once per batch, and
 /// [`finish`](Telemetry::finish) folds everything into a [`ServeOutcome`].
 #[derive(Debug)]
 pub struct Telemetry {
@@ -197,7 +197,7 @@ impl Telemetry {
         self.core.shard(tid)
     }
 
-    /// Folds a per-thread shard into the session (call at barrier points).
+    /// Folds a per-thread shard into the session (call once per batch, not per sample).
     pub fn flush(&self, shard: &mut ObsShard) {
         self.core.flush(shard);
     }
@@ -513,13 +513,16 @@ pub struct ServeOutcome {
     pub throughput_rps: f64,
     /// Merged per-request latency histogram.
     pub latency: LatencyHistogram,
-    /// Total seconds workers spent in fetch-path verification.
+    /// Total seconds the batcher spent in fetch-path verification.
     pub verify_seconds: f64,
     /// Total seconds spent in scrub sweeps.
     pub scrub_seconds: f64,
     /// Total seconds workers spent in the forward pass.
     pub infer_seconds: f64,
-    /// Fetch-path verification duty cycle (verify time over total worker time).
+    /// Fetch-path verification duty cycle: verify time over total worker time
+    /// (`wall_seconds × workers`). The batcher verifies every image on its own
+    /// thread, so this sets verification against the pool's serving capacity; it
+    /// is not a share of any one thread's time.
     pub verify_duty: f64,
     /// Scrub duty cycle (scrub time over wall time).
     pub scrub_duty: f64,

@@ -1,7 +1,7 @@
 //! Observability contracts of the serve engine: the deterministic event journal
-//! replays byte-identically per seed (including across a full rotation roll), and
-//! scripted strikes the run never reached surface as a structured journal event
-//! plus a counter instead of disappearing into stderr.
+//! replays byte-identically per seed (including across a full rotation roll) and
+//! for any worker count, and scripted strikes the run never reached surface as a
+//! structured journal event plus a counter instead of disappearing into stderr.
 
 use std::time::Duration;
 
@@ -9,6 +9,7 @@ use radar_attack::{AttackProfile, BitFlip, FlipDirection};
 use radar_core::{RadarConfig, RadarProtection};
 use radar_memsim::{AttackTimeline, DramGeometry, MountEvent, RowhammerInjector, WeightDram};
 use radar_nn::{resnet20, ResNetConfig};
+use radar_obs::EventKind;
 use radar_quant::{QuantizedModel, MSB};
 use radar_serve::{metric, replicas, serve, ServeConfig, ServeOutcome, TrafficSchedule};
 use radar_tensor::Tensor;
@@ -99,13 +100,14 @@ fn same_seed_runs_replay_byte_identical_journals() {
         "replay must be byte-identical"
     );
     assert!(a.obs.journal.diff(&b.obs.journal).is_empty());
-    // Every batch built one verified image, and every build after a worker's
-    // first refilled that worker's image: each worker allocates its image once.
+    // Every batch built one verified image, and every build refilled an image a
+    // worker handed back unless the pool was still short: the run allocates at
+    // most one image per worker plus the one the batcher fills.
     let builds = a.obs.registry.counter_sum(metric::SNAPSHOT_PUBLISHES);
     let reused = a.obs.registry.counter_sum(metric::SNAPSHOT_RECLAIMS);
     assert_eq!(builds, a.batches as u64);
     assert!(
-        builds - reused <= cfg.workers as u64,
+        builds - reused <= cfg.workers as u64 + 1,
         "{builds} builds, {reused} of them reusing an image, {} workers",
         cfg.workers
     );
@@ -205,4 +207,108 @@ fn unreached_scripted_strike_is_journaled_and_counted() {
         .journal
         .logical_jsonl()
         .contains("strike_never_fired"));
+}
+
+/// Logical outcomes do not depend on the worker count. Four protection settings —
+/// in-path + scrub, scrub-only, a rotation tick every batch with in-path checks,
+/// and unprotected — each serve the same two strikes with 1, 2 and 3 workers; the
+/// one-worker run is the sequential reference every other count must match: the
+/// logical journal, the served-accuracy windows, recovery totals, the rotation
+/// stream and the logical time to detect. Under in-path verification every
+/// `verify` event after a strike's own batch flags nothing: the recovery at the
+/// strike batch left the stored weights clean.
+#[test]
+fn logical_outcomes_do_not_depend_on_the_worker_count() {
+    let classifier = tiny_model().num_layers() - 1;
+    let run = |cfg: &ServeConfig, protected: bool| {
+        let signer = tiny_model();
+        let protection =
+            protected.then(|| RadarProtection::new(&signer, RadarConfig::paper_default(32)));
+        let dram = WeightDram::load(&signer, DramGeometry::default());
+        let strike = |at_batch: usize, flips: &[(usize, usize)], seed: u64| MountEvent {
+            at_batch,
+            injector: RowhammerInjector::default(),
+            profile: profile(flips),
+            seed,
+        };
+        let timeline = AttackTimeline::new(vec![
+            strike(2, &[(2, 5), (classifier, 0)], 1),
+            strike(7, &[(7, 0)], 2),
+        ]);
+        serve(
+            replicas(cfg.workers, tiny_model),
+            protection,
+            dram,
+            &eval_set(16),
+            &TrafficSchedule::new(5, 96),
+            timeline,
+            cfg,
+        )
+    };
+    let logical = |o: &ServeOutcome| {
+        (
+            o.obs.journal.logical_jsonl(),
+            o.windows.clone(),
+            o.recovery,
+            o.rotations.clone(),
+            o.time_to_detect
+                .map(|t| (t.batches, t.requests, t.via_scrub)),
+        )
+    };
+    for (setting, base, protected) in [
+        ("in-path + scrub", engine_config(), true),
+        ("scrub-only", engine_config().scrub_only(), true),
+        (
+            "rotation every batch",
+            engine_config().with_rotation(1),
+            true,
+        ),
+        ("unprotected", engine_config().unprotected(), false),
+    ] {
+        let runs: Vec<ServeOutcome> = [1, 2, 3]
+            .into_iter()
+            .map(|workers| run(&ServeConfig { workers, ..base }, protected))
+            .collect();
+        let reference = logical(&runs[0]);
+        assert!(
+            reference.0.contains(r#""event":"strike""#),
+            "{setting}: the strikes fired"
+        );
+        for (workers, outcome) in [2, 3].into_iter().zip(&runs[1..]) {
+            assert_eq!(
+                logical(outcome),
+                reference,
+                "{setting}: {workers} workers against one"
+            );
+        }
+        if !base.inpath_verify {
+            continue;
+        }
+        for outcome in &runs {
+            let events = outcome.obs.journal.events();
+            assert!(
+                events.iter().any(
+                    |e| matches!(e.kind, EventKind::Verify { groups_flagged } if groups_flagged > 0)
+                ),
+                "{setting}: the in-path check flagged a strike"
+            );
+            let struck: Vec<u64> = events
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::Strike { .. }))
+                .map(|e| e.batch)
+                .collect();
+            assert_eq!(struck, vec![2, 7], "{setting}");
+            for event in events {
+                if let EventKind::Verify { groups_flagged } = event.kind {
+                    if !struck.contains(&event.batch) {
+                        assert_eq!(
+                            groups_flagged, 0,
+                            "{setting}: verify at batch {} after recovery",
+                            event.batch
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

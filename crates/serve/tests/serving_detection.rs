@@ -479,6 +479,49 @@ fn engine_unprotected_baseline_never_recovers() {
     assert_eq!(outcome.scrub_seconds, 0.0);
 }
 
+/// A worker that panics fails the run instead of hanging it. Replicas whose
+/// classifier does not match the DRAM image make every worker panic on its first
+/// batch; `serve` must re-raise that panic within seconds, with and without scrub
+/// steps between batches.
+#[test]
+fn a_panicking_worker_fails_the_run_instead_of_hanging_it() {
+    for scrub_every in [0, 3] {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let signer = tiny_model();
+            let protection = RadarProtection::new(&signer, RadarConfig::paper_default(32));
+            let dram = WeightDram::load(&signer, DramGeometry::default());
+            let cfg = ServeConfig {
+                scrub_every,
+                ..engine_config()
+            };
+            let mismatched = || QuantizedModel::new(Box::new(resnet20(&ResNetConfig::tiny(5))));
+            let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                serve(
+                    replicas(cfg.workers, mismatched),
+                    Some(protection),
+                    dram,
+                    &eval_set(16),
+                    &TrafficSchedule::new(7, 64),
+                    AttackTimeline::empty(),
+                    &cfg,
+                )
+            }));
+            let _ = done_tx.send(served.is_err());
+        });
+        let panicked = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| {
+                panic!("scrub_every {scrub_every}: serve still running after 10 s")
+            });
+        assert!(
+            panicked,
+            "scrub_every {scrub_every}: serve must re-raise the worker panic"
+        );
+        runner.join().expect("the runner catches the serve panic");
+    }
+}
+
 /// A clean run: no strikes, no detections, flat service.
 #[test]
 fn engine_clean_run_raises_no_flags() {

@@ -3,7 +3,7 @@
 //! much faster than the first run.
 
 use radar_bench::campaign::{self, ScenarioGrid};
-use radar_bench::experiments::{characterize, detection, infer, knowledgeable, recovery, timing};
+use radar_bench::experiments::{characterize, detection, knowledgeable, recovery, timing};
 use radar_bench::harness::{
     knob, parse_count, pbfa_profiles, prepare, write_artifact, Budget, ModelKind,
 };
@@ -16,9 +16,6 @@ fn main() {
     // Platform-model experiments (cheap, no training needed).
     timing::table4().print_and_save("table4_time_overhead");
     timing::table5().print_and_save("table5_crc_comparison");
-    let infer_outcome = infer::bench_infer(&infer::InferBenchParams::default_run());
-    infer_outcome.report().print_and_save("bench_infer");
-    write_artifact("BENCH_infer.json", &infer_outcome.to_json());
     detection::missrate(knob("RADAR_MISSRATE_TRIALS", parse_count).unwrap_or(200_000))
         .print_and_save("missrate_toy_layer");
 

@@ -28,7 +28,7 @@ use radar_quant::{QuantizedModel, WeightSnapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::harness::{artifacts_dir, fresh_model, pbfa_profiles, Prepared};
+use crate::harness::{artifacts_dir, fresh_model, pbfa_profiles, profile_cache_path, Prepared};
 use crate::profile_cache;
 use crate::report::Report;
 
@@ -368,13 +368,15 @@ pub(crate) fn knowledgeable_profiles(
     assumed_group_size: usize,
     rounds: usize,
 ) -> Vec<AttackProfile> {
-    let cache = artifacts_dir().join(format!(
-        "profiles_{}_knowledgeable_g{}_n{}_r{}.txt",
-        prepared.kind.id(),
-        assumed_group_size,
-        prepared.budget.n_bits,
-        rounds
-    ));
+    let cache = profile_cache_path(
+        &artifacts_dir(),
+        prepared.kind,
+        prepared.budget,
+        &format!(
+            "knowledgeable_g{assumed_group_size}_n{}_r{rounds}",
+            prepared.budget.n_bits
+        ),
+    );
     if let Ok(profiles) = profile_cache::load(&cache) {
         if profiles.len() == rounds {
             return profiles;
@@ -403,11 +405,12 @@ pub(crate) fn knowledgeable_profiles(
 /// Generates (or loads from the artifact cache) one MSB-1-restricted PBFA profile of
 /// `n_bits` flips (the Section VIII attack; shares its cache with the `msb1` bin).
 pub(crate) fn msb1_profiles(prepared: &mut Prepared, n_bits: usize) -> Vec<AttackProfile> {
-    let cache = artifacts_dir().join(format!(
-        "profiles_{}_msb1_n{}.txt",
-        prepared.kind.id(),
-        n_bits
-    ));
+    let cache = profile_cache_path(
+        &artifacts_dir(),
+        prepared.kind,
+        prepared.budget,
+        &format!("msb1_n{n_bits}"),
+    );
     if let Ok(profiles) = profile_cache::load(&cache) {
         // Guard against a truncated cache file (e.g. an interrupted earlier run):
         // an empty set would leave every Msb1 cell with nothing to mount.

@@ -3,7 +3,6 @@
 
 pub mod characterize;
 pub mod detection;
-pub mod infer;
 pub mod knowledgeable;
 pub mod recovery;
 pub mod timing;

@@ -2,7 +2,7 @@
 //! generation with on-disk caching, and environment-variable budget knobs.
 
 use std::env::VarError;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use radar_attack::{AttackProfile, Pbfa, PbfaConfig};
 use radar_data::{Dataset, SyntheticSpec};
@@ -303,7 +303,31 @@ pub fn prepare(kind: ModelKind, budget: Budget) -> Prepared {
 
 /// Where the trained checkpoint of `(kind, budget)` is cached.
 fn checkpoint_path(kind: ModelKind, budget: Budget) -> PathBuf {
-    artifacts_dir().join(format!("{}_w8_e{}.rnnp", kind.id(), budget.epochs))
+    artifacts_dir().join(format!("{}.rnnp", checkpoint_stem(kind, budget)))
+}
+
+/// The file stem of the `(kind, budget)` checkpoint: one per model and epoch count.
+fn checkpoint_stem(kind: ModelKind, budget: Budget) -> String {
+    format!("{}_w8_e{}", kind.id(), budget.epochs)
+}
+
+/// Where, under `dir`, the profiles of `attack` (its own parameters, e.g.
+/// `n10_r8_c2`) computed against the `(kind, budget)` checkpoint are cached. The
+/// name carries everything else a profile depends on: the checkpoint it was
+/// computed against and the attacker batch size. A profile replayed against
+/// another model toggles bits whatever their state there, and its recorded
+/// `weight_before` is stale.
+pub(crate) fn profile_cache_path(
+    dir: &Path,
+    kind: ModelKind,
+    budget: Budget,
+    attack: &str,
+) -> PathBuf {
+    dir.join(format!(
+        "profiles_{}_b{}_{attack}.txt",
+        checkpoint_stem(kind, budget),
+        budget.attack_batch
+    ))
 }
 
 /// Rebuilds an independent replica of the prepared model from its cached checkpoint:
@@ -337,12 +361,12 @@ fn fresh_model_from(kind: ModelKind, checkpoint: &std::path::Path) -> QuantizedM
 /// methodology.
 pub fn pbfa_profiles(prepared: &mut Prepared) -> Vec<AttackProfile> {
     let budget = prepared.budget;
-    let cache = artifacts_dir().join(format!(
-        "profiles_{}_n{}_r{}_c2.txt",
-        prepared.kind.id(),
-        budget.n_bits,
-        budget.rounds
-    ));
+    let cache = profile_cache_path(
+        &artifacts_dir(),
+        prepared.kind,
+        budget,
+        &format!("n{}_r{}_c2", budget.n_bits, budget.rounds),
+    );
     if let Ok(profiles) = profile_cache::load(&cache) {
         if profiles.len() == budget.rounds {
             return profiles;
@@ -429,6 +453,20 @@ mod tests {
         assert_eq!(replica.num_layers(), reference.num_layers());
         assert_eq!(replica.snapshot(), reference.snapshot());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn profile_caches_are_keyed_by_the_checkpoint_and_the_attacker_batch() {
+        let r20 = |budget| {
+            profile_cache_path(Path::new(""), ModelKind::ResNet20Like, budget, "n10_r8_c2")
+        };
+        let base = Budget::default();
+        let (mut untrained, mut small_batch) = (base, base);
+        untrained.epochs = 0;
+        small_batch.attack_batch = 8;
+        assert_eq!(r20(base), r20(Budget::default()));
+        assert_ne!(r20(base), r20(untrained));
+        assert_ne!(r20(base), r20(small_batch));
     }
 
     #[test]

@@ -18,14 +18,14 @@
 //!
 //! See the `run_rotation` binary (`--smoke` for the CI-sized timeline).
 
-use radar_attack::{apply_msb_flip, evasion_pair, AttackProfile, KeyLearner, KeyObservation};
-use radar_core::{group_signature, KeyEpoch, KeySchedule, RadarConfig, RadarProtection, KEY_BITS};
-use radar_memsim::{AttackTimeline, DramGeometry, MountEvent, RowhammerInjector, WeightDram};
+use radar_attack::{apply_msb_flip, evasion_pair, KeyLearner, KeyObservation};
+use radar_core::{group_signature, KeyEpoch, KeySchedule, RadarProtection, KEY_BITS};
 use radar_obs::{JsonValue, Labels, MetricsRegistry, Stopwatch};
-use radar_serve::{serve, ServeConfig, ServeOutcome, TrafficSchedule};
+use radar_serve::ServeOutcome;
 
-use crate::harness::{fresh_model, pbfa_profiles, Prepared};
+use crate::harness::Prepared;
 use crate::report::Report;
+use crate::serving::StrikeSession;
 
 /// Sizing of one rotation benchmark run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,26 +195,18 @@ fn learn_layers(
     results
 }
 
-/// Truncates the strongest cached PBFA profile to `n` flips.
-fn attack_profile(prepared: &mut Prepared, n: usize) -> AttackProfile {
-    let profiles = pbfa_profiles(prepared);
-    let profile = profiles.first().expect("at least one PBFA profile");
-    AttackProfile {
-        flips: profile.flips[..n.min(profile.flips.len())].to_vec(),
-        loss_before: profile.loss_before,
-        loss_after: profile.loss_after,
-    }
-}
-
 /// Runs the key-learning study and the static-vs-rotating serving scenarios.
 pub fn run(prepared: &mut Prepared, params: &RotationBenchParams) -> RotationBenchOutcome {
-    let kind = prepared.kind;
-    let budget = prepared.budget;
-    let group_size = kind.table3_groups()[kind.table3_groups().len() / 2];
-
-    let signer = fresh_model(kind, budget);
-    let num_layers = signer.num_layers();
-    let radar_config = RadarConfig::paper_default(group_size);
+    // A full roll needs `num_layers + 3` rotation ticks, one every `rotate_every`
+    // batches; size the traffic so the rotating scenario crosses the retire with slack.
+    let num_layers = prepared.qmodel.num_layers();
+    let session = StrikeSession::new(
+        prepared,
+        params.window,
+        params.traffic_seed,
+        params.requests,
+        params.rotate_every * (num_layers + 6),
+    );
 
     eprintln!(
         "[rotation] key-learning study: brute-forcing {} layer keys ({}-bit keyspace)",
@@ -223,8 +215,8 @@ pub fn run(prepared: &mut Prepared, params: &RotationBenchParams) -> RotationBen
     );
     let mut registry = MetricsRegistry::new();
     let phase = Stopwatch::start();
-    let reference = RadarProtection::new(&signer, radar_config);
-    let learning = learn_layers(&signer, &reference, params.learn_layers);
+    let reference = RadarProtection::new(&session.signer, session.radar);
+    let learning = learn_layers(&session.signer, &reference, params.learn_layers);
     registry.record_ns(
         "rotation.phase_ns",
         Labels::none().scenario("key_learning"),
@@ -236,46 +228,11 @@ pub fn run(prepared: &mut Prepared, params: &RotationBenchParams) -> RotationBen
         learning.iter().filter(|l| l.recovered).count() as u64,
     );
 
-    let config = ServeConfig {
-        strict_batching: true,
-        window: params.window,
-        scrub_layers: num_layers.div_ceil(5),
-        ..ServeConfig::default()
-    }
-    .from_env();
-
-    // A full roll needs `num_layers + 3` rotation ticks, one every `rotate_every`
-    // batches; size the traffic so the rotating scenario crosses the retire with slack.
-    let roll_batches = params.rotate_every * (num_layers + 6);
-    let requests = params.requests.max(roll_batches * config.max_batch);
-    let total_batches = requests.div_ceil(config.max_batch);
-    let attack_at_batch = (total_batches / 3).clamp(1, total_batches.saturating_sub(1));
-    let profile = attack_profile(prepared, budget.n_bits);
-    let n_flips = profile.flips.len();
-    let schedule = TrafficSchedule::new(params.traffic_seed, requests);
-    let eval = prepared.eval_set();
-
+    let (requests, attack_at_batch) = (session.schedule.requests, session.attack_at_batch);
     let run_scenario = |rotate_every: usize| {
-        let mut cfg = config;
+        let mut cfg = session.config;
         cfg.rotate_every = rotate_every;
-        let models = radar_serve::replicas(cfg.workers, || fresh_model(kind, budget));
-        let protection = RadarProtection::new(&signer, radar_config);
-        let dram = WeightDram::load(&signer, DramGeometry::default());
-        let timeline = AttackTimeline::new(vec![MountEvent {
-            at_batch: attack_at_batch,
-            injector: RowhammerInjector::default(),
-            profile: profile.clone(),
-            seed: 0xA77A_C000 + attack_at_batch as u64,
-        }]);
-        serve(
-            models,
-            Some(protection),
-            dram,
-            &eval,
-            &schedule,
-            timeline,
-            &cfg,
-        )
+        session.serve(&cfg, true, true)
     };
 
     let mut scenarios = Vec::new();
@@ -330,11 +287,11 @@ pub fn run(prepared: &mut Prepared, params: &RotationBenchParams) -> RotationBen
     let deterministic_replay = logical(rotating) == logical(&replay);
 
     RotationBenchOutcome {
-        model: kind.id().to_owned(),
-        group_size,
+        model: prepared.kind.id().to_owned(),
+        group_size: session.radar.group_size,
         learning,
         requests,
-        n_flips,
+        n_flips: session.profile.flips.len(),
         attack_at_batch,
         scenarios,
         deterministic_replay,

@@ -20,11 +20,13 @@ use std::path::PathBuf;
 
 use radar_attack::AttackProfile;
 use radar_core::{RadarConfig, RadarProtection};
+use radar_data::Dataset;
 use radar_memsim::{AttackTimeline, DramGeometry, MountEvent, RowhammerInjector, WeightDram};
 use radar_obs::{chrome_trace, validate_chrome_trace, JsonValue, ObsLevel};
+use radar_quant::QuantizedModel;
 use radar_serve::{serve, ServeConfig, ServeOutcome, TrafficSchedule};
 
-use crate::harness::{fresh_model, pbfa_profiles, write_artifact, Prepared};
+use crate::harness::{fresh_model, pbfa_profiles, write_artifact, Budget, ModelKind, Prepared};
 use crate::report::Report;
 
 /// Sizing of one serving benchmark run.
@@ -57,6 +59,11 @@ impl ServeBenchParams {
             window: 16,
             traffic_seed: 0x5E1A_11FE,
         }
+    }
+
+    /// The strike session these parameters size.
+    fn session(&self, prepared: &mut Prepared) -> StrikeSession {
+        StrikeSession::new(prepared, self.window, self.traffic_seed, self.requests, 0)
     }
 }
 
@@ -94,14 +101,104 @@ pub struct ServeBenchOutcome {
     pub scenarios: Vec<ServeScenario>,
 }
 
-/// Truncates the strongest cached PBFA profile to `n` flips.
-fn attack_profile(prepared: &mut Prepared, n: usize) -> AttackProfile {
-    let profiles = pbfa_profiles(prepared);
-    let profile = profiles.first().expect("at least one PBFA profile");
-    AttackProfile {
-        flips: profile.flips[..n.min(profile.flips.len())].to_vec(),
-        loss_before: profile.loss_before,
-        loss_after: profile.loss_after,
+/// The strike session `run_serve` and `run_rotation` share: the prepared model
+/// signed at the middle Table III group size, a strict-batching engine
+/// configuration that scrubs `⌈L/5⌉` layers a step (then `RADAR_SERVE_*`
+/// overrides), the strongest cached PBFA profile truncated to `RADAR_NBF` flips,
+/// and seeded traffic with the strike a third of the way in. Each scenario states
+/// only what differs: the [`ServeConfig`] it serves under and whether the
+/// protection and the strike are armed.
+pub(crate) struct StrikeSession {
+    kind: ModelKind,
+    budget: Budget,
+    /// The clean model every protection and DRAM image is built from.
+    pub(crate) signer: QuantizedModel,
+    /// The RADAR defense (paper defaults).
+    pub(crate) radar: RadarConfig,
+    /// The engine configuration every scenario starts from.
+    pub(crate) config: ServeConfig,
+    /// The mounted profile.
+    pub(crate) profile: AttackProfile,
+    /// The traffic every scenario replays.
+    pub(crate) schedule: TrafficSchedule,
+    /// Batch offset of the strike.
+    pub(crate) attack_at_batch: usize,
+    eval: Dataset,
+}
+
+impl StrikeSession {
+    /// Builds the session for `requests` requests of traffic seeded `traffic_seed`,
+    /// raised to at least `min_batches` batches, with served-accuracy windows of
+    /// `window` requests.
+    pub(crate) fn new(
+        prepared: &mut Prepared,
+        window: usize,
+        traffic_seed: u64,
+        requests: usize,
+        min_batches: usize,
+    ) -> Self {
+        let (kind, budget) = (prepared.kind, prepared.budget);
+        let signer = fresh_model(kind, budget);
+        let config = ServeConfig {
+            strict_batching: true,
+            window,
+            // One full image sweep every ~5 scrub steps.
+            scrub_layers: signer.num_layers().div_ceil(5),
+            ..ServeConfig::default()
+        }
+        .from_env();
+        let requests = requests.max(min_batches * config.max_batch);
+        let total_batches = requests.div_ceil(config.max_batch);
+        let mut profile = pbfa_profiles(prepared)
+            .into_iter()
+            .next()
+            .expect("at least one PBFA profile");
+        profile.flips.truncate(budget.n_bits);
+        StrikeSession {
+            kind,
+            budget,
+            signer,
+            radar: RadarConfig::paper_default(kind.table3_groups()[kind.table3_groups().len() / 2]),
+            config,
+            profile,
+            schedule: TrafficSchedule::new(traffic_seed, requests),
+            // Keep the strike strictly inside the timeline (a strike at an offset the
+            // run never dispatches would silently not fire); a single-batch run
+            // degenerates to a strike before any service.
+            attack_at_batch: (total_batches / 3).clamp(
+                usize::from(total_batches > 1),
+                total_batches.saturating_sub(1),
+            ),
+            eval: prepared.eval_set(),
+        }
+    }
+
+    /// Serves the session's traffic under `cfg` on fresh worker replicas and a fresh
+    /// DRAM image of the signer, with RADAR protection when `protected` and the
+    /// strike when `strike`.
+    pub(crate) fn serve(&self, cfg: &ServeConfig, protected: bool, strike: bool) -> ServeOutcome {
+        let models = radar_serve::replicas(cfg.workers, || fresh_model(self.kind, self.budget));
+        let protection = protected.then(|| RadarProtection::new(&self.signer, self.radar));
+        let dram = WeightDram::load(&self.signer, DramGeometry::default());
+        let timeline = if strike {
+            AttackTimeline::new(vec![MountEvent {
+                at_batch: self.attack_at_batch,
+                injector: RowhammerInjector::default(),
+                profile: self.profile.clone(),
+                seed: 0xA77A_C000 + self.attack_at_batch as u64,
+            }])
+        } else {
+            AttackTimeline::empty()
+        };
+        serve(
+            models,
+            protection,
+            dram,
+            &self.eval,
+            &self.schedule,
+            timeline,
+            cfg,
+        )
     }
 }
 
@@ -112,77 +209,32 @@ fn attack_profile(prepared: &mut Prepared, n: usize) -> AttackProfile {
 /// strict batching enabled so batch composition — and with it every logical outcome —
 /// is a pure function of the seeds.
 pub fn run(prepared: &mut Prepared, params: &ServeBenchParams) -> ServeBenchOutcome {
-    let kind = prepared.kind;
-    let budget = prepared.budget;
-    let group_size = kind.table3_groups()[kind.table3_groups().len() / 2];
-
-    let signer = fresh_model(kind, budget);
-    let num_layers = signer.num_layers();
-    let config = ServeConfig {
-        strict_batching: true,
-        window: params.window,
-        // One full image sweep every ~5 scrub steps.
-        scrub_layers: num_layers.div_ceil(5),
-        ..ServeConfig::default()
-    }
-    .from_env();
-
-    let total_batches = params.requests.div_ceil(config.max_batch);
-    // Keep the strike strictly inside the timeline (a strike at an offset the run
-    // never dispatches would silently not fire); a single-batch run degenerates to a
-    // strike before any service.
-    let attack_at_batch = (total_batches / 3).clamp(
-        usize::from(total_batches > 1),
-        total_batches.saturating_sub(1),
-    );
-    let profile = attack_profile(prepared, budget.n_bits);
-    let n_flips = profile.flips.len();
-    let schedule = TrafficSchedule::new(params.traffic_seed, params.requests);
-    let eval = prepared.eval_set();
-
-    let strike = |seed: u64| {
-        AttackTimeline::new(vec![MountEvent {
-            at_batch: attack_at_batch,
-            injector: RowhammerInjector::default(),
-            profile: profile.clone(),
-            seed,
-        }])
-    };
-
+    let session = params.session(prepared);
     let mut scenarios = Vec::new();
-    let specs: [(&'static str, bool, bool, bool); 4] = [
+    for (name, inpath_verify, scrub, protected) in [
         ("clean", true, true, true),
         ("attack_inpath", true, true, true),
         ("attack_scrub_only", false, true, true),
         ("unprotected", false, false, false),
-    ];
-    for (name, inpath_verify, scrub, protected) in specs {
-        let mut cfg = config;
+    ] {
+        let strike = name != "clean";
+        let mut cfg = session.config;
         cfg.inpath_verify = inpath_verify;
         if !scrub {
             cfg.scrub_every = 0;
         }
-        let models = radar_serve::replicas(cfg.workers, || fresh_model(kind, budget));
-        let protection = protected
-            .then(|| RadarProtection::new(&signer, RadarConfig::paper_default(group_size)));
-        let dram = WeightDram::load(&signer, DramGeometry::default());
-        let timeline = if name == "clean" {
-            AttackTimeline::empty()
-        } else {
-            strike(0xA77A_C000 + attack_at_batch as u64)
-        };
         eprintln!(
             "[serve] scenario {name}: {} requests, {} workers, batch {}, strike at {}",
             params.requests,
             cfg.workers,
             cfg.max_batch,
-            if name == "clean" {
-                "-".to_owned()
+            if strike {
+                session.attack_at_batch.to_string()
             } else {
-                attack_at_batch.to_string()
+                "-".to_owned()
             }
         );
-        let outcome = serve(models, protection, dram, &eval, &schedule, timeline, &cfg);
+        let outcome = session.serve(&cfg, protected, strike);
         scenarios.push(ServeScenario {
             name,
             inpath_verify,
@@ -193,12 +245,12 @@ pub fn run(prepared: &mut Prepared, params: &ServeBenchParams) -> ServeBenchOutc
     }
 
     ServeBenchOutcome {
-        model: kind.id().to_owned(),
+        model: prepared.kind.id().to_owned(),
         clean_accuracy: f64::from(prepared.clean_accuracy),
-        config,
-        group_size,
-        n_flips,
-        attack_at_batch,
+        config: session.config,
+        group_size: session.radar.group_size,
+        n_flips: session.profile.flips.len(),
+        attack_at_batch: session.attack_at_batch,
         scenarios,
     }
 }
@@ -213,55 +265,16 @@ pub fn run(prepared: &mut Prepared, params: &ServeBenchParams) -> ServeBenchOutc
 /// that fails validation is a bug, so this panics (CI runs it via
 /// `run_serve --trace` and the panic fails the job).
 pub fn trace(prepared: &mut Prepared, params: &ServeBenchParams) -> PathBuf {
-    let kind = prepared.kind;
-    let budget = prepared.budget;
-    let group_size = kind.table3_groups()[kind.table3_groups().len() / 2];
-
-    let signer = fresh_model(kind, budget);
-    let num_layers = signer.num_layers();
-    let mut cfg = ServeConfig {
-        strict_batching: true,
-        window: params.window,
-        scrub_layers: num_layers.div_ceil(5),
-        ..ServeConfig::default()
-    }
-    .from_env()
-    .with_obs(ObsLevel::Full);
+    let session = params.session(prepared);
+    let mut cfg = session.config.with_obs(ObsLevel::Full);
     // Arm key rotation so the batcher row shows rotation ticks next to its scrub
     // sweeps and the strike mount.
     cfg.rotate_every = 2;
-
-    let total_batches = params.requests.div_ceil(cfg.max_batch);
-    let attack_at_batch = (total_batches / 3).clamp(
-        usize::from(total_batches > 1),
-        total_batches.saturating_sub(1),
-    );
-    let profile = attack_profile(prepared, budget.n_bits);
-    let schedule = TrafficSchedule::new(params.traffic_seed, params.requests);
-    let eval = prepared.eval_set();
-
-    let models = radar_serve::replicas(cfg.workers, || fresh_model(kind, budget));
-    let protection = RadarProtection::new(&signer, RadarConfig::paper_default(group_size));
-    let dram = WeightDram::load(&signer, DramGeometry::default());
-    let timeline = AttackTimeline::new(vec![MountEvent {
-        at_batch: attack_at_batch,
-        injector: RowhammerInjector::default(),
-        profile,
-        seed: 0xA77A_C000 + attack_at_batch as u64,
-    }]);
     eprintln!(
-        "[serve] traced scenario: {} requests, {} workers, strike at batch {attack_at_batch}, rotate_every {}",
-        params.requests, cfg.workers, cfg.rotate_every
+        "[serve] traced scenario: {} requests, {} workers, strike at batch {}, rotate_every {}",
+        params.requests, cfg.workers, session.attack_at_batch, cfg.rotate_every
     );
-    let outcome = serve(
-        models,
-        Some(protection),
-        dram,
-        &eval,
-        &schedule,
-        timeline,
-        &cfg,
-    );
+    let outcome = session.serve(&cfg, true, true);
 
     let trace = chrome_trace(&outcome.obs, "radar-serve traced");
     let summary = validate_chrome_trace(&trace.render()).expect("own trace export must validate");

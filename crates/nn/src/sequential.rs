@@ -44,11 +44,6 @@ impl Sequential {
         self.layers.push(Box::new(layer));
     }
 
-    /// Appends an already-boxed layer.
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
-    }
-
     /// Number of layers in the container.
     pub fn len(&self) -> usize {
         self.layers.len()

@@ -55,12 +55,6 @@ impl<O: Optimizer> Trainer<O> {
         }
     }
 
-    /// Access to the underlying optimizer (e.g. to adjust the learning rate between
-    /// epochs).
-    pub fn optimizer_mut(&mut self) -> &mut O {
-        &mut self.optimizer
-    }
-
     /// Trains `model` on `(images, labels)` for `epochs` epochs, shuffling every epoch.
     ///
     /// # Panics

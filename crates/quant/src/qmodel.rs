@@ -187,13 +187,6 @@ impl QuantizedModel {
         &mut self.layers[index].weights
     }
 
-    /// Access to the underlying float model (weights reflect the last
-    /// synchronization — call [`sync`](Self::sync) first to fold in quantized
-    /// modifications).
-    pub fn float_model_mut(&mut self) -> &mut dyn Layer {
-        self.model.as_mut()
-    }
-
     /// Flips one bit of one weight: `(layer, weight index, bit)`; returns the new `i8`
     /// value of that weight.
     ///

@@ -64,10 +64,4 @@ impl RadarConfig {
         self.signature_bits = SignatureBits::Three;
         self
     }
-
-    /// Returns a copy with a different key seed.
-    pub fn with_key_seed(mut self, seed: u64) -> Self {
-        self.key_seed = seed;
-        self
-    }
 }

@@ -238,13 +238,6 @@ impl KeySchedule {
         let mut rng = ChaCha20Rng::from_seed(prf.finalize());
         SecretKey::random(&mut rng)
     }
-
-    /// The keys for layers `0..layers` under `epoch`.
-    pub fn layer_keys(&self, layers: usize, epoch: KeyEpoch) -> Vec<SecretKey> {
-        (0..layers)
-            .map(|layer| self.layer_key(layer, epoch))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -177,13 +177,6 @@ impl Tensor {
         }
     }
 
-    /// Applies a function to every element in place.
-    pub fn map_inplace<F: Fn(f32) -> f32>(&mut self, f: F) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Combines two tensors elementwise with a binary function.
     ///
     /// # Panics
